@@ -5,8 +5,8 @@ The library is organized bottom-up:
 
 - ``microgradnet``: a tiny dense-network stack (forward, backprop-to-input,
   SGD training) built on numpy so gradients are available everywhere.
-- ``neighborhood``: minibatch sampling and exact k-nearest-neighbor
-  distance profiles.
+- ``neighborhood``: minibatch sampling and the exact k-nearest-neighbor
+  distance kernel, with its single-query form ``knn_profile``.
 - ``characteristics``: the maximum-likelihood local intrinsic
   dimensionality estimator plus kernel-density and predictive-uncertainty
   scores.
@@ -22,7 +22,6 @@ from .characteristics import (
     BuConfig,
     KdConfig,
     LidEstimate,
-    bayes_uncertainty,
     bayes_uncertainty_batch,
     kernel_density,
     lid_of_distances,
@@ -104,8 +103,9 @@ from .neighborhood import (
     Minibatch,
     distances_to,
     knn_profile,
-    l2_distance,
+    nearest_distances,
     sample_minibatch,
+    squared_distances,
 )
 
 __version__ = "0.1.0"
@@ -124,11 +124,11 @@ __all__ = [
     "predict", "predict_batch", "input_gradient", "backprop_to_input",
     "logit_jacobian", "save_network", "load_network",
     # neighborhoods
-    "Minibatch", "DistanceProfile", "sample_minibatch", "knn_profile",
-    "l2_distance", "distances_to",
+    "Minibatch", "DistanceProfile", "sample_minibatch", "squared_distances",
+    "nearest_distances", "knn_profile", "distances_to",
     # characteristics
     "LidEstimate", "KdConfig", "BuConfig", "mle_lid", "lid_of_distances",
-    "kernel_density", "bayes_uncertainty", "bayes_uncertainty_batch",
+    "kernel_density", "bayes_uncertainty_batch",
     "minmax_normalize",
     # attacks
     "ATTACK_KINDS", "AttackConfig", "AttackOutcome", "run_attack",

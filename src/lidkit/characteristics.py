@@ -121,12 +121,6 @@ def bayes_uncertainty_batch(net, xs: np.ndarray, config: BuConfig) -> np.ndarray
     return runs.var(axis=0, ddof=1).mean(axis=1)
 
 
-def bayes_uncertainty(net, x, config: BuConfig) -> float:
-    """Single-example dropout-variance uncertainty (see the batch variant)."""
-    x = np.asarray(x, dtype=float)
-    return float(bayes_uncertainty_batch(net, x[None, :], config)[0])
-
-
 def minmax_normalize(values: np.ndarray) -> np.ndarray:
     """Affine map of a 1-D array onto [0, 1]; a constant array maps to zeros."""
     v = np.asarray(values, dtype=float)

@@ -12,15 +12,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import attacks, detector, microgradnet
+from .characteristics import BuConfig, KdConfig
 from .errors import LidkitError, ParseError, ShapeError
 from .harness import config as config_mod
 from .harness import recipes
-from .harness.data import gen_synthetic, load_csv, save_csv
+from .harness.data import save_csv
 from .harness.report import _jsonable
 from .neighborhood import sample_minibatch
 
@@ -83,15 +83,6 @@ def _out_dir(cfg) -> str:
     return cfg.out_dir
 
 
-def _dataset(cfg):
-    if cfg.dataset_csv is not None:
-        return load_csv(cfg.dataset_csv)
-    params = {**recipes._DATASET_DEFAULTS[cfg.dataset_name],
-              **cfg.dataset_params}
-    return gen_synthetic(cfg.dataset_name, cfg.n_train + cfg.n_test,
-                         cfg.seed, **params)
-
-
 def _require_net(cfg):
     if cfg.net_path is None:
         raise ValueError("this command needs network.path in the config")
@@ -105,7 +96,7 @@ def _prediction_batch(cfg, data):
 
 def _cmd_gen_data(cfg) -> int:
     cfg.validate()
-    data = _dataset(cfg)
+    data = recipes.load_dataset(cfg)
     path = os.path.join(_out_dir(cfg), "dataset.csv")
     save_csv(data, path)
     print(f"wrote {len(data)} examples x {data.features.shape[1]} features "
@@ -115,7 +106,7 @@ def _cmd_gen_data(cfg) -> int:
 
 def _cmd_train_net(cfg) -> int:
     cfg.validate()
-    data = _dataset(cfg)
+    data = recipes.load_dataset(cfg)
     specs = config_mod.parse_layers(
         cfg.layers or config_mod.default_layers(data.n_classes),
         data.features.shape[1])
@@ -140,19 +131,13 @@ def _cmd_train_net(cfg) -> int:
 def _cmd_attack(cfg) -> int:
     cfg.validate()
     net = _require_net(cfg)
-    data = _dataset(cfg)
+    data = recipes.load_dataset(cfg)
     batch = _prediction_batch(cfg, data)
     labels = microgradnet.predict_batch(net, batch.vectors)
     out_dir = _out_dir(cfg)
     for kind in cfg.attacks:
         acfg = cfg.attack_config(kind)
-        outcomes = []
-        for j in range(len(batch)):
-            art_cfg = replace(acfg, seed=acfg.seed + j)
-            refs = batch if kind == "adaptive_opt" else None
-            out, _ = detector._attack_one(net, batch.vectors[j],
-                                          int(labels[j]), art_cfg, refs)
-            outcomes.append(out)
+        outcomes, _ = detector.attack_batch(net, batch, acfg, labels)
         path = os.path.join(out_dir, f"attack_{kind}.csv")
         attacks.save_attack_outcomes(path, batch.member_ids, outcomes, kind)
         n_ok = sum(o.success for o in outcomes)
@@ -163,15 +148,13 @@ def _cmd_attack(cfg) -> int:
 def _cmd_extract_features(cfg) -> int:
     cfg.validate()
     net = _require_net(cfg)
-    data = _dataset(cfg)
+    data = recipes.load_dataset(cfg)
     batch = _prediction_batch(cfg, data)
     out_dir = _out_dir(cfg)
     attack_kind = cfg.attacks[0]
     acfg = cfg.attack_config(attack_kind)
     art = detector.prepare_batch(net, batch, acfg, cfg.seed,
                                  workers=cfg.workers)
-    from .characteristics import BuConfig, KdConfig
-
     for kind in cfg.feature_kinds:
         fm = detector.features_from(
             art, kind, cfg.k, kd=KdConfig(bandwidth_sigma=cfg.sigma),

@@ -34,10 +34,13 @@ import numpy as np
 from . import characteristics, microgradnet
 from .attacks import (AttackConfig, AttackOutcome, gaussian_l2_noise,
                       minmax_pixel_noise, run_attack)
-from .characteristics import BuConfig, KdConfig, kernel_density, mle_lid
+from .characteristics import BuConfig, KdConfig, lid_of_distances
+# scalar oracles, unused here; benchmark/child.py's traced run patches them here
+from .characteristics import kernel_density, mle_lid  # noqa: F401
 from .errors import (EmptyPositiveClassError, ExhaustedFeaturesError,
                      NoDirectionError, ShapeError)
-from .neighborhood import Minibatch, knn_profile
+from .neighborhood import Minibatch, nearest_distances, squared_distances
+from .neighborhood import knn_profile  # noqa: F401  (see mle_lid above)
 
 FEATURE_KINDS = ("lid", "kd", "bu", "kd_bu", "combined")
 SOURCES = ("normal", "noisy", "adversarial")
@@ -161,20 +164,39 @@ class BatchArtifacts:
     _memo: dict
 
 
-def _attack_one(net, x, label, cfg, refs):
-    """Run one attack, converting expected dead-ends into failed outcomes."""
-    try:
-        return run_attack(net, x, label, cfg, refs=refs), None
-    except ExhaustedFeaturesError as err:
-        partial = np.asarray(err.partial, dtype=float)
-        out = AttackOutcome(adversarial=partial, success=False,
-                            iterations_used=err.iterations,
-                            l2_perturbation=float(np.linalg.norm(partial - x)))
-        return out, "exhausted feature pairs"
-    except NoDirectionError:
-        out = AttackOutcome(adversarial=np.asarray(x, dtype=float), success=False,
-                            iterations_used=0, l2_perturbation=0.0)
-        return out, "zero input gradient"
+def attack_batch(net, batch: Minibatch, attack_cfg: AttackConfig, labels, *,
+                 workers: int = 1):
+    """(outcomes, notes) of attacking every row j with ``attack_cfg.seed + j``.
+
+    Expected dead ends become failed outcomes with a note: an exhausted
+    saliency attack keeps its partial iterate, a zero input gradient the input.
+    """
+    refs = batch if attack_cfg.kind == "adaptive_opt" else None
+
+    def work(j):
+        x = batch.vectors[j]
+        cfg_j = replace(attack_cfg, seed=attack_cfg.seed + j)
+        try:
+            return run_attack(net, x, int(labels[j]), cfg_j, refs=refs), None
+        except ExhaustedFeaturesError as err:
+            partial = np.asarray(err.partial, dtype=float)
+            out = AttackOutcome(adversarial=partial, success=False,
+                                iterations_used=err.iterations,
+                                l2_perturbation=float(np.linalg.norm(partial - x)))
+            return out, "exhausted feature pairs"
+        except NoDirectionError:
+            out = AttackOutcome(adversarial=x, success=False,
+                                iterations_used=0, l2_perturbation=0.0)
+            return out, "zero input gradient"
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(work, range(len(batch))))
+    else:
+        results = [work(j) for j in range(len(batch))]
+    notes = [f"example {j}: {r[1]}" for j, r in enumerate(results)
+             if r[1] is not None]
+    return [r[0] for r in results], notes
 
 
 def prepare_batch(net, normal_batch: Minibatch, attack_cfg: AttackConfig,
@@ -190,20 +212,8 @@ def prepare_batch(net, normal_batch: Minibatch, attack_cfg: AttackConfig,
     xs = normal_batch.vectors
     n = xs.shape[0]
     labels = microgradnet.predict_batch(net, xs)
-    refs = normal_batch if attack_cfg.kind == "adaptive_opt" else None
-
-    def work(j):
-        cfg_j = replace(attack_cfg, seed=attack_cfg.seed + j)
-        return _attack_one(net, xs[j], int(labels[j]), cfg_j, refs)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(n)))
-    else:
-        results = [work(j) for j in range(n)]
-    outcomes = [r[0] for r in results]
-    notes = [f"example {j}: {r[1]}" for j, r in enumerate(results)
-             if r[1] is not None]
+    outcomes, notes = attack_batch(net, normal_batch, attack_cfg, labels,
+                                   workers=workers)
     success = np.array([o.success for o in outcomes], dtype=bool)
 
     style = "minmax_pixels" if attack_cfg.kind == "jsma" else "gaussian_l2"
@@ -252,25 +262,21 @@ def _reference_levels(art: BatchArtifacts, reference):
     return levels, np.argmax(levels[-1], axis=1)
 
 
+def _lid_levels(q_levels, ref_levels, k: int, exclude_self: bool) -> np.ndarray:
+    """(n, D) LID of each query row at each level against that level's refs."""
+    return np.column_stack([
+        lid_of_distances(nearest_distances(squared_distances(q, r), k,
+                                           exclude_self=exclude_self))
+        for q, r in zip(q_levels, ref_levels)
+    ])
+
+
 def _lid_block(art: BatchArtifacts, k: int, reference) -> dict:
     """(n, D) LID features per source, each level against the reference batch."""
     ref_levels, _ = _reference_levels(art, reference)
-    depth = art.net.depth
-    blocks = {}
-    for source in SOURCES:
-        q_levels = art.levels[source]
-        n = q_levels[0].shape[0]
-        exclude = reference is None and source == "normal"
-        block = np.empty((n, depth))
-        for i in range(depth):
-            refs_i = Minibatch(member_ids=range(ref_levels[i].shape[0]),
-                               vectors=ref_levels[i], source="normal")
-            for j in range(n):
-                prof = knn_profile(q_levels[i][j], refs_i, k,
-                                   exclude_self=exclude)
-                block[j, i] = mle_lid(prof, layer_index=i).value
-        blocks[source] = block
-    return blocks
+    return {source: _lid_levels(art.levels[source], ref_levels, k,
+                                reference is None and source == "normal")
+            for source in SOURCES}
 
 
 def _kd_block(art: BatchArtifacts, kd_cfg: KdConfig, reference) -> dict:
@@ -278,28 +284,23 @@ def _kd_block(art: BatchArtifacts, kd_cfg: KdConfig, reference) -> dict:
 
     References are restricted to the query's predicted class; a query whose
     class has no reference scores 0 (the empty-neighborhood limit).  In
-    training mode a normal query's own row (any reference identical to it)
-    is left out, mirroring the LID self-exclusion.
+    training mode a normal query leaves out every reference at distance zero
+    from it (its own row and exact duplicates), as the LID block does.
     """
     ref_levels, ref_pred = _reference_levels(art, reference)
-    depth = art.net.depth
     blocks = {}
     for source in SOURCES:
-        q_levels = art.levels[source]
         q_pred = art.preds[source]
-        n = q_levels[0].shape[0]
         exclude = reference is None and source == "normal"
-        block = np.zeros((n, depth))
-        for i in range(depth):
-            refs_i = ref_levels[i]
-            for j in range(n):
-                q = q_levels[i][j]
-                mask = ref_pred == q_pred[j]
+        block = np.zeros((q_pred.shape[0], art.net.depth))
+        for i, (q, r) in enumerate(zip(art.levels[source], ref_levels)):
+            sq = squared_distances(q, r)
+            affinity = np.exp(-sq / kd_cfg.bandwidth_sigma ** 2)
+            for j, keep in enumerate(q_pred[:, None] == ref_pred):
                 if exclude:
-                    mask = mask & ~np.all(refs_i == q, axis=1)
-                if not mask.any():
-                    continue  # no same-class reference: density 0
-                block[j, i] = kernel_density(q, refs_i[mask], kd_cfg)
+                    keep &= sq[j] > 0.0
+                if keep.any():
+                    block[j, i] = affinity[j, keep].mean()
         blocks[source] = block
     return blocks
 
@@ -381,15 +382,9 @@ def extract_features(net, normal_batch: Minibatch, attack_cfg: AttackConfig,
 
 def lid_feature_row(net, x, reference: Minibatch, k: int) -> np.ndarray:
     """All-level LID features of a single example against a reference batch."""
-    stack = microgradnet.forward_capture(net, x)
-    ref_levels = microgradnet.activations_batch(net, reference.vectors)
-    row = np.empty(net.depth)
-    for i in range(net.depth):
-        refs_i = Minibatch(member_ids=range(ref_levels[i].shape[0]),
-                           vectors=ref_levels[i], source="normal")
-        prof = knn_profile(stack.per_layer[i], refs_i, k)
-        row[i] = mle_lid(prof, layer_index=i).value
-    return row
+    return _lid_levels(microgradnet.activations_batch(net, np.atleast_2d(x)),
+                       microgradnet.activations_batch(net, reference.vectors),
+                       k, exclude_self=False)[0]
 
 
 # --------------------------------------------------------------------------
@@ -648,6 +643,21 @@ def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
 # adaptive-attack evaluation
 
 
+def score_outcome(net, detectors: dict, outcome: AttackOutcome,
+                  refs: Minibatch, k: int, threshold: float = 0.5):
+    """(scores, flagged) per scenario detector for one attack outcome; a
+    failed attack has no scores and counts as flagged in both scenarios."""
+    if not outcome.success:
+        return {}, {"scenario1": True, "scenario2": True}
+    row = lid_feature_row(net, outcome.adversarial, refs, k)
+    scores = {
+        "scenario1": float(score(detectors["scenario1"], row[None, :])[0]),
+        "scenario2": float(score(detectors["scenario2"],
+                                 row[None, [net.depth - 2]])[0]),
+    }
+    return scores, {scen: s >= threshold for scen, s in scores.items()}
+
+
 def adaptive_failure_rate(net, detectors: dict, inputs, labels,
                           refs: Minibatch, attack_cfg: AttackConfig, *,
                           k: int = 20, threshold: float = 0.5) -> dict:
@@ -662,28 +672,19 @@ def adaptive_failure_rate(net, detectors: dict, inputs, labels,
     if set(detectors) != {"scenario1", "scenario2"}:
         raise ValueError("need exactly the scenario1 and scenario2 detectors")
     cfg = replace(attack_cfg, kind="adaptive_opt", adaptive_k=k)
-    pre_softmax = net.depth - 2
     records = []
     failures = {"scenario1": 0, "scenario2": 0}
     for j, (x, label) in enumerate(zip(inputs, labels)):
         out = run_attack(net, x, int(label),
                          replace(cfg, seed=cfg.seed + j), refs=refs)
+        scores, flagged = score_outcome(net, detectors, out, refs, k,
+                                        threshold)
         record = {"index": j, "success": bool(out.success),
                   "l2": out.l2_perturbation}
-        if out.success:
-            row = lid_feature_row(net, out.adversarial, refs, k)
-            s1 = float(score(detectors["scenario1"], row[None, :])[0])
-            s2 = float(score(detectors["scenario2"],
-                             row[None, [pre_softmax]])[0])
-            record["score_scenario1"] = s1
-            record["score_scenario2"] = s2
-            flagged = {"scenario1": s1 >= threshold, "scenario2": s2 >= threshold}
-        else:
-            flagged = {"scenario1": True, "scenario2": True}
+        record.update({f"score_{scen}": s for scen, s in scores.items()})
         for scen in failures:
-            if not out.success or flagged[scen]:
-                failures[scen] += 1
-            record[f"failed_{scen}"] = (not out.success) or flagged[scen]
+            failures[scen] += flagged[scen]
+            record[f"failed_{scen}"] = flagged[scen]
         records.append(record)
     n = len(records)
     return {

@@ -18,7 +18,7 @@ import numpy as np
 from .. import detector as det
 from .. import microgradnet
 from ..attacks import ATTACK_KINDS
-from ..characteristics import BuConfig, KdConfig
+from ..characteristics import BuConfig, KdConfig, minmax_normalize
 from ..detector import FeatureMatrix
 from ..errors import DegenerateProfileError, LidkitError, ParseError
 from ..microgradnet import SgdConfig
@@ -67,17 +67,23 @@ class Pipeline:
     features: dict = field(default_factory=dict)
 
 
+def load_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The config's CSV, or its generator's first n_train + n_test rows."""
+    if cfg.dataset_csv is not None:
+        return load_csv(cfg.dataset_csv)
+    params = {**_DATASET_DEFAULTS[cfg.dataset_name], **cfg.dataset_params}
+    return gen_synthetic(cfg.dataset_name, cfg.n_train + cfg.n_test,
+                         cfg.seed, **params)
+
+
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     cfg.validate()
     notes = []
     seeds = {"master": cfg.seed, "network": cfg.seed, "split": cfg.seed + 1}
+    data = load_dataset(cfg)
     if cfg.dataset_csv is not None:
-        data = load_csv(cfg.dataset_csv)
         notes.append(f"dataset loaded from {cfg.dataset_csv}")
     else:
-        params = {**_DATASET_DEFAULTS[cfg.dataset_name], **cfg.dataset_params}
-        data = gen_synthetic(cfg.dataset_name, cfg.n_train + cfg.n_test,
-                             cfg.seed, **params)
         seeds["dataset"] = cfg.seed
     if len(data) < cfg.n_train + cfg.n_test:
         raise ValueError(
@@ -146,24 +152,25 @@ def _noise_seed(cfg: ExperimentConfig, attack_kind: str, batch_index: int) -> in
     return base * 1_000_000 + batch_index * 10_000
 
 
+def batch_artifacts(pl: Pipeline, attack_kind: str, index: int | None):
+    """Prepared artifacts of train batch ``index``, or of the test batch for
+    None, computed once per (attack, batch); their notes go to ``pl.notes``."""
+    key = (attack_kind, index)
+    if key not in pl.artifacts:
+        batch = pl.test_batch if index is None else pl.train_batches[index]
+        seed = _noise_seed(pl.cfg, attack_kind, 99 if index is None else index)
+        art = det.prepare_batch(pl.net, batch, pl.cfg.attack_config(attack_kind),
+                                seed, workers=pl.cfg.workers)
+        pl.notes.extend(f"{attack_kind}: {note}" for note in art.notes)
+        pl.artifacts[key] = art
+    return pl.artifacts[key]
+
+
 def artifacts_for(pl: Pipeline, attack_kind: str):
-    """Prepared (train, test) attack artifacts per kind, computed once."""
-    if attack_kind not in pl.artifacts:
-        acfg = pl.cfg.attack_config(attack_kind)
-        train_arts = []
-        for bi, batch in enumerate(pl.train_batches):
-            art = det.prepare_batch(pl.net, batch, acfg,
-                                    _noise_seed(pl.cfg, attack_kind, bi),
-                                    workers=pl.cfg.workers)
-            train_arts.append(art)
-        test_art = det.prepare_batch(pl.net, pl.test_batch, acfg,
-                                     _noise_seed(pl.cfg, attack_kind, 99),
-                                     workers=pl.cfg.workers)
-        for art in train_arts + [test_art]:
-            for note in art.notes:
-                pl.notes.append(f"{attack_kind}: {note}")
-        pl.artifacts[attack_kind] = (train_arts, test_art)
-    return pl.artifacts[attack_kind]
+    """Prepared (train list, test) attack artifacts for one kind."""
+    train = [batch_artifacts(pl, attack_kind, bi)
+             for bi in range(len(pl.train_batches))]
+    return train, batch_artifacts(pl, attack_kind, None)
 
 
 def _bu_config(cfg: ExperimentConfig) -> BuConfig:
@@ -202,7 +209,7 @@ def combined_features(pl: Pipeline, attack_kind: str):
             art = det.prepare_batch(pl.net, batch, acfg,
                                     _noise_seed(cfg, attack_kind, bi) + 5_000,
                                     workers=cfg.workers)
-            train_arts[bi] = art
+            pl.artifacts[(attack_kind, bi)] = art
             mats.append(det.features_from(art, "combined", cfg.k, kd=kd_cfg,
                                           bu=bu_cfg))
     train_fm = FeatureMatrix(
@@ -313,9 +320,7 @@ def _recipe_fig2(pl: Pipeline, report: ExperimentReport) -> None:
 
     _, test_fm = combined_features(pl, focus)
     te_lid = det.select_kind(test_fm, "lid")
-    final = te_lid.features[:, -1]
-    normalized = (final - final.min()) / (final.max() - final.min()) \
-        if final.max() > final.min() else np.zeros_like(final)
+    normalized = minmax_normalize(te_lid.features[:, -1])
     dist_points = []
     means = {}
     for prov in ("normal", "noisy", "adversarial"):
@@ -372,15 +377,13 @@ def _recipe_fig4(pl: Pipeline, report: ExperimentReport) -> None:
     queries = Minibatch(member_ids=query_ids,
                         vectors=pl.dataset.features[query_ids],
                         source="normal")
-    kd_cfg = KdConfig(bandwidth_sigma=cfg.sigma)
-    bu_cfg = _bu_config(cfg)
     points = []
     for attack_kind in cfg.attacks:
         acfg = cfg.attack_config(attack_kind)
         query_art = det.prepare_batch(pl.net, queries, acfg,
                                       _noise_seed(cfg, attack_kind, 98),
                                       workers=cfg.workers)
-        _, test_art = artifacts_for(pl, attack_kind)
+        test_art = batch_artifacts(pl, attack_kind, None)
         for size in sizes:
             ref_ids = ref_pool[:size]
             reference = Minibatch(member_ids=ref_ids,
@@ -388,10 +391,10 @@ def _recipe_fig4(pl: Pipeline, report: ExperimentReport) -> None:
                                   source="normal")
             for fraction in np.arange(0.1, 1.0, 0.1):
                 k = max(1, int(round(fraction * size)))
-                train_fm = det.features_from(query_art, "lid", k, kd=kd_cfg,
-                                             bu=bu_cfg, reference=reference)
-                test_fm = det.features_from(test_art, "lid", k, kd=kd_cfg,
-                                            bu=bu_cfg, reference=reference)
+                train_fm = det.features_from(query_art, "lid", k,
+                                             reference=reference)
+                test_fm = det.features_from(test_art, "lid", k,
+                                            reference=reference)
                 model = _fit(pl, train_fm, attack_kind)
                 points.append({
                     "series": f"{attack_kind}/batch_{size}",
@@ -428,24 +431,13 @@ def _recipe_table4(pl: Pipeline, report: ExperimentReport) -> None:
                                        k=cfg.k)
 
     # plain-opt baseline on the same inputs, scored by the same detectors
-    _, opt_test_art = artifacts_for(pl, base_attack)
-    plain = {"scenario1": 0, "scenario2": 0}
-    for j in range(n_inputs):
-        out = opt_test_art.outcomes[j]
-        if not out.success:
-            plain["scenario1"] += 1
-            plain["scenario2"] += 1
-            continue
-        row = det.lid_feature_row(pl.net, out.adversarial, pl.reference, cfg.k)
-        s1 = float(det.score(detectors["scenario1"], row[None, :])[0])
-        s2 = float(det.score(detectors["scenario2"],
-                             row[None, [pre_softmax]])[0])
-        plain["scenario1"] += int(s1 >= 0.5)
-        plain["scenario2"] += int(s2 >= 0.5)
+    opt_outcomes = batch_artifacts(pl, base_attack, None).outcomes[:n_inputs]
+    plain = [det.score_outcome(pl.net, detectors, out, pl.reference, cfg.k)[1]
+             for out in opt_outcomes]
     report.tables["adaptive_failure_rates"] = [
         {"scenario": scen,
          "adaptive_failure_rate": result[f"{scen}_failure_rate"],
-         "plain_opt_detection_rate": plain[scen] / n_inputs,
+         "plain_opt_detection_rate": sum(f[scen] for f in plain) / n_inputs,
          "n_inputs": n_inputs}
         for scen in ("scenario1", "scenario2")
     ]

@@ -212,16 +212,7 @@ def forward_capture(net: Network, x, mode: str = "deterministic",
     and draws dropout masks per the module-level contract.  Ties in the
     predicted class go to the lowest class index.
     """
-    x = _check_input(net, x)
-    if mode == "deterministic":
-        masks = None
-    elif mode == "stochastic":
-        if seed is None:
-            raise ValueError("stochastic mode requires a seed")
-        masks = _dropout_masks(net, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    rows = _forward_rows(net, x[None, :], masks)
+    rows = activations_batch(net, _check_input(net, x)[None, :], mode, seed)
     per_layer = tuple(r[0] for r in rows)
     probs = per_layer[-1]
     return ActivationStack(per_layer=per_layer,

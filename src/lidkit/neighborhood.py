@@ -1,7 +1,8 @@
-"""Minibatches and k-nearest-neighbor distance profiles.
+"""Minibatches and k-nearest-neighbor distances.
 
 Neighborhoods are always computed brute-force (every pairwise L2 distance) so
-results are exact; batches here are small by design.
+results are exact.  ``squared_distances`` + ``nearest_distances`` are the
+batch kernel; ``distances_to`` + ``knn_profile`` are its single-query oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import numpy as np
 from .errors import DegenerateProfileError, ShapeError
 
 MINIBATCH_SOURCES = ("normal", "adversarial", "noisy")
+
+# squared_distances block size: rows * m * d <= BLOCK_FLOATS, rows >= 1
+BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,6 @@ class DistanceProfile:
 
     distances: np.ndarray
     k: int
-    query_id: int | None = None
 
     def __post_init__(self):
         d = np.asarray(self.distances, dtype=float)
@@ -72,18 +75,6 @@ class DistanceProfile:
         if d[-1] <= 0.0:
             raise DegenerateProfileError("largest neighbor distance is zero")
         d.setflags(write=False)
-
-    @property
-    def r_max(self) -> float:
-        return float(self.distances[-1])
-
-
-def l2_distance(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"vectors must share one shape, got {a.shape} and {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def sample_minibatch(vectors: np.ndarray, size: int, seed: int, *,
@@ -122,8 +113,8 @@ def distances_to(query, refs: Minibatch) -> np.ndarray:
     return np.sqrt(((refs.vectors - q) ** 2).sum(axis=1))
 
 
-def knn_profile(query, refs: Minibatch, k: int, *, exclude_self: bool = False,
-                query_id: int | None = None) -> DistanceProfile:
+def knn_profile(query, refs: Minibatch, k: int, *,
+                exclude_self: bool = False) -> DistanceProfile:
     """Exact k-nearest-neighbor distance profile of a query against a minibatch.
 
     ``exclude_self=True`` removes every reference at distance zero (the query
@@ -139,4 +130,42 @@ def knn_profile(query, refs: Minibatch, k: int, *, exclude_self: bool = False,
             f"k must be in [1, {dists.shape[0]}] for this neighborhood, got {k}"
         )
     order = np.argsort(dists, kind="stable")
-    return DistanceProfile(distances=dists[order[:k]], k=k, query_id=query_id)
+    return DistanceProfile(distances=dists[order[:k]], k=k)
+
+
+def squared_distances(queries, refs) -> np.ndarray:
+    """(n, m) squared L2 distances from query rows to reference rows.
+
+    Each is summed as ``distances_to`` sums it, so ``np.sqrt`` of row i is
+    bitwise ``distances_to(queries[i], ...)``.  Queries go in blocks.
+    """
+    q = np.asarray(queries, dtype=float)
+    r = np.asarray(refs, dtype=float)
+    if q.ndim != 2 or r.ndim != 2 or q.shape[1] != r.shape[1]:
+        raise ShapeError(f"queries {q.shape} do not match references {r.shape}")
+    step = max(1, BLOCK_FLOATS // max(1, r.size))
+    out = np.empty((q.shape[0], r.shape[0]))
+    for start in range(0, q.shape[0], step):
+        diff = r[None, :, :] - q[start:start + step, None, :]
+        out[start:start + step] = (diff ** 2).sum(axis=2)
+    return out
+
+
+def nearest_distances(sq: np.ndarray, k: int, *,
+                      exclude_self: bool = False) -> np.ndarray:
+    """(n, k) ascending nearest distances, from squared distances.
+
+    Row i is bitwise ``knn_profile(query_i, refs, k, exclude_self=...)
+    .distances``: ``exclude_self`` skips a row's zero distances and raises
+    ValueError if fewer than k remain; otherwise zeros stay in.
+    """
+    sq = np.asarray(sq, dtype=float)
+    skip = (np.count_nonzero(sq == 0.0, axis=1) if exclude_self
+            else np.zeros(sq.shape[0], dtype=int))
+    last = int(skip.max(initial=0)) + k
+    if k < 1 or last > sq.shape[1]:
+        raise ValueError(f"k must be in [1, {sq.shape[1] - last + k}] for "
+                         f"this neighborhood, got {k}")
+    smallest = np.sort(np.partition(sq, last - 1, axis=1)[:, :last], axis=1)
+    return np.sqrt(np.take_along_axis(smallest, skip[:, None] + np.arange(k),
+                                      axis=1))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidkit.characteristics import (BuConfig, KdConfig, bayes_uncertainty,
+from lidkit.characteristics import (BuConfig, KdConfig,
                                     bayes_uncertainty_batch, kernel_density,
                                     lid_of_distances, minmax_normalize,
                                     mle_lid)
@@ -149,16 +149,6 @@ def test_uncertainty_matches_direct_variance_of_stochastic_passes():
     expected = runs.var(axis=0, ddof=1).mean(axis=1)
     np.testing.assert_allclose(bayes_uncertainty_batch(net, xs, cfg), expected,
                                rtol=0, atol=0)
-
-
-def test_uncertainty_single_example_matches_batch():
-    net = _dropout_net()
-    x = np.array([0.3, 0.7])
-    cfg = BuConfig(num_runs=5, base_seed=7)
-    single = bayes_uncertainty(net, x, cfg)
-    batch = bayes_uncertainty_batch(net, x[None, :], cfg)[0]
-    assert single == batch
-    assert single >= 0.0
 
 
 def test_uncertainty_is_seed_deterministic():

@@ -1,8 +1,10 @@
 """Exit codes and artifact flow of the command-line interface."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +131,17 @@ def test_runtime_failures_exit_with_two(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["recipe", "fig2", "--config", cfg, "--out", out]) == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_module_entry_point_prints_help():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        __import__("lidkit").__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "lidkit", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "usage" in proc.stdout
 
 
 def test_console_script_is_installed():

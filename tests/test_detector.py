@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lidkit.attacks import AttackConfig
-from lidkit.characteristics import BuConfig, KdConfig, mle_lid
+from lidkit.characteristics import BuConfig, KdConfig, kernel_density, mle_lid
 from lidkit.detector import (FEATURE_KINDS, FeatureMatrix, _cv_auc,
                              adaptive_failure_rate, auc, extract_features,
                              features_from, held_out_auc, layerwise_auc,
@@ -13,9 +13,11 @@ from lidkit.detector import (FEATURE_KINDS, FeatureMatrix, _cv_auc,
                              save_detector, save_feature_matrix, score,
                              select_kind, train_detector, transfer_evaluate,
                              tune_parameter)
-from lidkit.errors import EmptyPositiveClassError, ShapeError
-from lidkit.microgradnet import LayerSpec, Network, activations_batch
-from lidkit.neighborhood import Minibatch, knn_profile
+from lidkit.errors import (DegenerateProfileError, EmptyPositiveClassError,
+                           ShapeError)
+from lidkit.microgradnet import (LayerSpec, Network, activations_batch,
+                                 forward_capture, predict_batch)
+from lidkit.neighborhood import Minibatch, distances_to, knn_profile
 
 
 def _fm(features, labels, provenance, kind="lid"):
@@ -311,16 +313,78 @@ def test_single_example_feature_row_matches_profile_math(moons_net,
                                                          moons_data):
     refs = Minibatch(member_ids=np.arange(40, 80),
                      vectors=moons_data.features[40:80])
-    x = moons_data.features[5]
-    row = lid_feature_row(moons_net, x, refs, k=8)
     ref_levels = activations_batch(moons_net, refs.vectors)
-    query_levels = activations_batch(moons_net, x[None, :])
-    assert row.shape == (moons_net.depth,)
-    for i in range(moons_net.depth):
-        level_refs = Minibatch(member_ids=np.arange(40),
-                               vectors=ref_levels[i])
-        prof = knn_profile(query_levels[i][0], level_refs, 8)
-        assert row[i] == mle_lid(prof).value
+    for x, k in ((moons_data.features[5], 8), (moons_data.features[90], 2),
+                 (moons_data.features[5], 40)):
+        row = lid_feature_row(moons_net, x, refs, k=k)
+        assert row.shape == (moons_net.depth,)
+        for i, q in enumerate(forward_capture(moons_net, x).per_layer):
+            level_refs = Minibatch(member_ids=np.arange(40),
+                                   vectors=ref_levels[i])
+            assert row[i] == mle_lid(knn_profile(q, level_refs, k)).value
+    # held-out rows never exclude: an example inside the reference batch
+    # meets itself at distance zero
+    with pytest.raises(DegenerateProfileError):
+        lid_feature_row(moons_net, moons_data.features[41], refs, k=8)
+
+
+def _oracle_features(art, kind, k, kd, reference):
+    """features_from through the single-query knn_profile + mle_lid and
+    kernel_density, one query, level and source at a time."""
+    if reference is None:
+        ref_levels, ref_pred = art.levels["normal"], art.preds["normal"]
+    else:
+        ref_levels = activations_batch(art.net, reference.vectors)
+        ref_pred = np.argmax(ref_levels[-1], axis=1)
+    blocks = {}
+    for source in ("normal", "noisy", "adversarial"):
+        exclude = reference is None and source == "normal"
+        block = np.zeros((len(art.batch), art.net.depth))
+        for i, (level, r) in enumerate(zip(art.levels[source], ref_levels)):
+            refs = Minibatch(member_ids=np.arange(len(r)), vectors=r)
+            for j, q in enumerate(level):
+                if kind == "lid":
+                    prof = knn_profile(q, refs, k, exclude_self=exclude)
+                    block[j, i] = mle_lid(prof).value
+                    continue
+                keep = ref_pred == art.preds[source][j]
+                if exclude:
+                    keep &= distances_to(q, refs) > 0.0
+                if keep.any():
+                    block[j, i] = kernel_density(q, r[keep], kd)
+        blocks[source] = block
+    return np.vstack([blocks["normal"], blocks["noisy"],
+                      blocks["adversarial"][art.success]])
+
+
+@pytest.mark.parametrize("kind", ["lid", "kd"])
+@pytest.mark.parametrize("mode", ["train", "heldout"])
+def test_batch_features_equal_single_query_oracles(kind, mode, moons_net,
+                                                   moons_data, moons_batch):
+    art = prepare_batch(moons_net, moons_batch,
+                        AttackConfig(kind="fgm", epsilon=0.5, seed=100),
+                        seed=500)
+    reference = None
+    if mode == "heldout":
+        # only class-0 references, so class-1 queries have none: KD 0.0
+        pool = np.arange(100, 160)
+        ids = pool[predict_batch(moons_net, moons_data.features[pool]) == 0]
+        reference = Minibatch(member_ids=ids, vectors=moons_data.features[ids])
+    kd = KdConfig(bandwidth_sigma=0.3)
+    got = features_from(art, kind, 7, kd=kd, reference=reference).features
+    want = _oracle_features(art, kind, 7, kd, reference)
+    assert got.tobytes() == want.tobytes()
+    if kind == "kd" and mode == "heldout":
+        assert np.any(got == 0.0)
+
+
+def test_zero_distance_without_exclusion_is_degenerate(moons_net,
+                                                       moons_batch):
+    art = prepare_batch(moons_net, moons_batch,
+                        AttackConfig(kind="fgm", epsilon=0.5, seed=100),
+                        seed=500)
+    with pytest.raises(DegenerateProfileError):
+        features_from(art, "lid", 5, reference=moons_batch)
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lidkit.errors import ParseError, ShapeError
+from lidkit import detector
+from lidkit.errors import NoDirectionError, ParseError, ShapeError
 from lidkit.harness.config import (ExperimentConfig, default_layers,
                                    load_config, parse_config_text,
                                    parse_layers)
@@ -339,3 +340,27 @@ def test_table5_reports_attack_statistics(tmp_path):
     loaded = load_report(cfg.out_dir)
     assert loaded.tables == report.tables
     assert loaded.split["train_ids"] == report.split["train_ids"]
+
+
+def test_fig4_attacks_only_its_queries_and_the_test_batch(monkeypatch):
+    # n_test large enough that fig4 keeps the config's pool size
+    pl = build_pipeline(_tiny_cfg(n_test=150))
+    assert len(pl.train_batches) >= 2
+    # one row of the last train batch, which holds none of fig4's queries
+    doomed = pl.train_batches[-1].vectors[0]
+    real = detector.run_attack
+    attacked = []
+
+    def run_attack(net, x, label, cfg, refs=None):
+        attacked.append(x)
+        if np.array_equal(x, doomed):
+            raise NoDirectionError("forced")
+        return real(net, x, label, cfg, refs=refs)
+
+    monkeypatch.setattr(detector, "run_attack", run_attack)
+    table5 = run_recipe("table5", _tiny_cfg(n_test=150), write=False)
+    assert any("zero input gradient" in n for n in table5.notes)
+    attacked.clear()
+    fig4 = run_recipe("fig4", _tiny_cfg(n_test=150), write=False)
+    assert not any("zero input gradient" in n for n in fig4.notes)
+    assert len(attacked) == pl.cfg.fig4_queries + len(pl.test_batch)

@@ -1,13 +1,17 @@
-"""Minibatch containers and exact nearest-neighbor distance profiles."""
+"""Minibatch containers and exact nearest-neighbor distances."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidkit import neighborhood
 from lidkit.errors import DegenerateProfileError, ShapeError
 from lidkit.neighborhood import (DistanceProfile, Minibatch, distances_to,
-                                 knn_profile, l2_distance, sample_minibatch)
+                                 knn_profile, nearest_distances,
+                                 sample_minibatch, squared_distances)
 
 
 # --------------------------------------------------------------------------
@@ -71,17 +75,11 @@ def test_profile_rejects_zero_largest_distance():
 
 def test_profile_allows_zero_inner_distance():
     prof = DistanceProfile(distances=np.array([0.0, 1.0]), k=2)
-    assert prof.r_max == 1.0
+    np.testing.assert_array_equal(prof.distances, [0.0, 1.0])
 
 
 # --------------------------------------------------------------------------
 # distances and sampling
-
-
-def test_l2_distance_known_value():
-    assert l2_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-    with pytest.raises(ShapeError):
-        l2_distance([0.0], [1.0, 2.0])
 
 
 def test_distances_to_preserves_row_order():
@@ -175,3 +173,93 @@ def test_knn_profile_matches_full_sort(seed):
     naive = np.sort(np.sqrt(((pts - q) ** 2).sum(axis=1)))[:k]
     prof = knn_profile(q, refs, k)
     np.testing.assert_array_equal(prof.distances, naive)
+
+
+# --------------------------------------------------------------------------
+# batch kernel against the single-query oracle
+
+
+def _oracle_rows(queries, refs, k, exclude_self):
+    """knn_profile per query; a zero k-th distance means k zero distances."""
+    batch = Minibatch(member_ids=np.arange(len(refs)), vectors=refs)
+    rows = []
+    for q in queries:
+        try:
+            rows.append(knn_profile(q, batch, k,
+                                    exclude_self=exclude_self).distances)
+        except DegenerateProfileError:
+            rows.append(np.zeros(k))
+    return np.array(rows)
+
+
+def _cloud(rng, rows, width, style):
+    if style == "grid":  # exact ties
+        return rng.integers(0, 3, (rows, width)).astype(float)
+    if style == "tenths":  # ties broken or made by rounding (0.1 + 0.2 ...)
+        return rng.integers(0, 6, (rows, width)) * 0.1
+    return rng.random((rows, width)) * 10.0 ** rng.uniform(-3, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       style=st.sampled_from(["grid", "tenths", "continuous"]),
+       exclude_self=st.booleans(),
+       blocks=st.sampled_from(["one", "few", "all"]))
+def test_kernel_rows_equal_knn_profile_bitwise(seed, style, exclude_self,
+                                               blocks):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 70))
+    refs = _cloud(rng, int(rng.integers(1, 30)), width, style)
+    # duplicate references, and queries that sit on references
+    refs = np.vstack([refs, refs[rng.integers(0, len(refs),
+                                              int(rng.integers(0, 4)))]])
+    queries = np.vstack([_cloud(rng, int(rng.integers(1, 9)), width, style),
+                         refs[rng.integers(0, len(refs),
+                                           int(rng.integers(0, 4)))]])
+    k = int(rng.integers(1, len(refs) + 1))
+    # BLOCK_FLOATS sized so blocks hold one query, three, or every query
+    per_query = refs.size
+    block = {"one": 1, "few": 3 * per_query + 1, "all": 10**9}[blocks]
+    try:
+        want = _oracle_rows(queries, refs, k, exclude_self)
+    except ValueError:
+        want = None  # some query has fewer than k non-zero distances
+    with mock.patch.object(neighborhood, "BLOCK_FLOATS", block):
+        sq = squared_distances(queries, refs)
+        if want is None:
+            with pytest.raises(ValueError, match="k must be"):
+                nearest_distances(sq, k, exclude_self=exclude_self)
+            return
+        got = nearest_distances(sq, k, exclude_self=exclude_self)
+    assert got.tobytes() == want.tobytes()
+    for q, row in zip(queries, sq):
+        assert np.sqrt(row).tobytes() == distances_to(
+            q, Minibatch(member_ids=np.arange(len(refs)), vectors=refs)).tobytes()
+
+
+def test_kernel_block_holds_one_query_for_wide_references():
+    rng = np.random.default_rng(4)
+    width = 1100
+    refs = rng.random((neighborhood.BLOCK_FLOATS // width + 1, width))
+    queries = rng.random((3, width))
+    got = nearest_distances(squared_distances(queries, refs), 5)
+    np.testing.assert_array_equal(got, _oracle_rows(queries, refs, 5, False))
+
+
+def test_kernel_exclusion_needs_k_distances_left():
+    sq = np.array([[0.0, 0.0, 1.0], [0.0, 4.0, 1.0]])
+    np.testing.assert_array_equal(nearest_distances(sq, 1, exclude_self=True),
+                                  [[1.0], [1.0]])
+    with pytest.raises(ValueError, match=r"\[1, 1\]"):
+        nearest_distances(sq, 2, exclude_self=True)
+    with pytest.raises(ValueError):
+        nearest_distances(sq, 0)
+    np.testing.assert_array_equal(nearest_distances(sq, 2),
+                                  [[0.0, 0.0], [0.0, 1.0]])
+
+
+def test_kernel_shape_validation():
+    with pytest.raises(ShapeError):
+        squared_distances(np.ones((2, 3)), np.ones((4, 2)))
+    with pytest.raises(ShapeError):
+        squared_distances(np.ones(3), np.ones((4, 3)))
