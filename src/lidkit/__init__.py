@@ -52,6 +52,7 @@ from .detector import (
     auc,
     extract_features,
     features_from,
+    features_sweep,
     held_out_auc,
     layerwise_auc,
     lid_feature_row,
@@ -136,7 +137,8 @@ __all__ = [
     "gaussian_l2_noise", "minmax_pixel_noise", "matched_noise",
     # detector
     "FEATURE_KINDS", "FeatureMatrix", "DetectorModel", "TuningResult",
-    "prepare_batch", "features_from", "extract_features", "select_kind",
+    "prepare_batch", "features_from", "features_sweep", "extract_features",
+    "select_kind",
     "lid_feature_row", "train_detector", "score", "auc", "held_out_auc",
     "transfer_evaluate", "layerwise_auc", "tune_parameter",
     "adaptive_failure_rate", "save_feature_matrix", "load_feature_matrix",

@@ -16,9 +16,11 @@ activation levels including the input):
 * ``combined``  lid block + kd block + bu column (2D + 1 columns)
 
 Feature extraction is split into ``prepare_batch`` (attacks, noise, and
-activations — everything independent of k and sigma) and ``features_from``
-(the characteristic computations), so parameter sweeps re-run only the cheap
-part.  ``extract_features`` composes the two.
+activations — everything independent of k and sigma) and ``features_sweep``
+(the characteristic computations).  A sweep over k or sigma computes one
+distance matrix per (source, level) and serves every swept value from it;
+``features_from`` is a sweep of one value, and ``extract_features`` composes
+``prepare_batch`` with it.
 """
 
 from __future__ import annotations
@@ -262,47 +264,47 @@ def _reference_levels(art: BatchArtifacts, reference):
     return levels, np.argmax(levels[-1], axis=1)
 
 
-def _lid_levels(q_levels, ref_levels, k: int, exclude_self: bool) -> np.ndarray:
-    """(n, D) LID of each query row at each level against that level's refs."""
-    return np.column_stack([
-        lid_of_distances(nearest_distances(squared_distances(q, r), k,
-                                           exclude_self=exclude_self))
-        for q, r in zip(q_levels, ref_levels)
-    ])
+def _lid_columns(sq: np.ndarray, ks, exclude_self: bool) -> list:
+    """(n,) LID of each query row for every k in ``ks``, from one fresh
+    squared-distance matrix, which this sorts in place and so consumes."""
+    near = nearest_distances(sq, max(ks), exclude_self=exclude_self,
+                             overwrite=True)
+    return [lid_of_distances(near[:, :k]) for k in ks]
 
 
-def _lid_block(art: BatchArtifacts, k: int, reference) -> dict:
-    """(n, D) LID features per source, each level against the reference batch."""
-    ref_levels, _ = _reference_levels(art, reference)
-    return {source: _lid_levels(art.levels[source], ref_levels, k,
-                                reference is None and source == "normal")
-            for source in SOURCES}
+def _sweep_blocks(art: BatchArtifacts, ks, kds, reference):
+    """(lid, kd): ``lid[source][v]`` is the (n, D) LID block for ``ks[v]``
+    and ``kd[source][v]`` the KD block for ``kds[v]``.
 
-
-def _kd_block(art: BatchArtifacts, kd_cfg: KdConfig, reference) -> dict:
-    """(n, D) class-conditional kernel densities per source.
-
-    References are restricted to the query's predicted class; a query whose
-    class has no reference scores 0 (the empty-neighborhood limit).  In
-    training mode a normal query leaves out every reference at distance zero
-    from it (its own row and exact duplicates), as the LID block does.
+    Each (source, level) computes one distance matrix, however many values
+    there are: KD takes one ``exp`` per sigma from it, then LID sorts it in
+    place and reads the first k columns for each k.  KD references are
+    restricted to the query's predicted class; a query whose class has no
+    reference scores 0 (the empty-neighborhood limit).  In training mode a
+    normal query leaves out every reference at distance zero from it (its own
+    row and exact duplicates), for LID and KD alike.
     """
     ref_levels, ref_pred = _reference_levels(art, reference)
-    blocks = {}
+    shape = (len(art.batch), art.net.depth)
+    lid = {source: np.zeros((len(ks),) + shape) for source in SOURCES}
+    kd = {source: np.zeros((len(kds),) + shape) for source in SOURCES}
     for source in SOURCES:
-        q_pred = art.preds[source]
         exclude = reference is None and source == "normal"
-        block = np.zeros((q_pred.shape[0], art.net.depth))
         for i, (q, r) in enumerate(zip(art.levels[source], ref_levels)):
             sq = squared_distances(q, r)
-            affinity = np.exp(-sq / kd_cfg.bandwidth_sigma ** 2)
-            for j, keep in enumerate(q_pred[:, None] == ref_pred):
+            if kds:
+                keep = art.preds[source][:, None] == ref_pred
                 if exclude:
-                    keep &= sq[j] > 0.0
-                if keep.any():
-                    block[j, i] = affinity[j, keep].mean()
-        blocks[source] = block
-    return blocks
+                    keep &= sq > 0.0
+                rows = np.flatnonzero(keep.any(axis=1))
+                for v, kd_cfg in enumerate(kds):
+                    affinity = np.exp(-sq / kd_cfg.bandwidth_sigma ** 2)
+                    for j in rows:
+                        kd[source][v, j, i] = affinity[j, keep[j]].mean()
+            if ks:
+                for v, column in enumerate(_lid_columns(sq, ks, exclude)):
+                    lid[source][v, :, i] = column
+    return lid, kd
 
 
 def _bu_column(art: BatchArtifacts, bu_cfg: BuConfig) -> dict:
@@ -319,10 +321,16 @@ def _bu_column(art: BatchArtifacts, bu_cfg: BuConfig) -> dict:
     return art._memo[key]
 
 
-def features_from(art: BatchArtifacts, feature_kind: str, k: int, *,
-                  kd: KdConfig | None = None, bu: BuConfig | None = None,
-                  reference: Minibatch | None = None) -> FeatureMatrix:
-    """Assemble a FeatureMatrix from prepared artifacts.
+def features_sweep(art: BatchArtifacts, feature_kind: str, ks,
+                   sigmas=(1.0,), *, bu: BuConfig | None = None,
+                   reference: Minibatch | None = None) -> list:
+    """One FeatureMatrix per swept value, in the order given, duplicates kept.
+
+    Sweep k with ``ks`` or the KD bandwidth with ``sigmas``; the other holds
+    a single value, which every matrix shares.  Matrix v equals
+    ``features_from(art, feature_kind, ks[v],
+    kd=KdConfig(bandwidth_sigma=sigmas[v]), ...)``, but the distances behind
+    it are computed once per (source, level) for all values together.
 
     With ``reference=None`` the batch itself is the reference (the training
     phase, where normal queries leave themselves out); otherwise all queries
@@ -332,41 +340,65 @@ def features_from(art: BatchArtifacts, feature_kind: str, k: int, *,
     """
     if feature_kind not in FEATURE_KINDS:
         raise ValueError(f"unknown feature kind {feature_kind!r}")
+    ks, kds = list(ks), [KdConfig(bandwidth_sigma=s) for s in sigmas]
+    if not ks or not kds:
+        raise ValueError("a sweep needs at least one k and one sigma")
+    if len(ks) > 1 and len(kds) > 1:
+        raise ValueError("sweep k or sigma, not both")
     need_lid = feature_kind in ("lid", "combined")
     need_kd = feature_kind in ("kd", "kd_bu", "combined")
     need_bu = feature_kind in ("bu", "kd_bu", "combined")
+    if need_lid and min(ks) < 1:
+        raise ValueError(f"k must be at least 1, got {min(ks)}")
     if not art.success.any():
         raise EmptyPositiveClassError(
             f"every {art.attack_kind} attack failed on this batch")
-    kd = kd or KdConfig(bandwidth_sigma=1.0)
-    bu = bu or BuConfig(num_runs=50, base_seed=art.seed + _BU_SEED_OFFSET)
-    parts = []
-    if need_lid:
-        parts.append(_lid_block(art, k, reference))
-    if need_kd:
-        kd_blocks = _kd_block(art, kd, reference)
-        if feature_kind == "kd_bu":
-            pre_softmax = art.net.depth - 2
-            kd_blocks = {s: b[:, [pre_softmax]] for s, b in kd_blocks.items()}
-        parts.append(kd_blocks)
-    if need_bu:
-        parts.append(_bu_column(art, bu))
-    per_source = {
-        src: np.hstack([p[src] for p in parts]) for src in SOURCES
-    }
+    lid, kd = (_sweep_blocks(art, ks if need_lid else [],
+                             kds if need_kd else [], reference)
+               if need_lid or need_kd else ({}, {}))
+    if feature_kind == "kd_bu":
+        pre_softmax = art.net.depth - 2
+        kd = {s: b[:, :, [pre_softmax]] for s, b in kd.items()}
+    bu_col = _bu_column(art, bu or BuConfig(
+        num_runs=50, base_seed=art.seed + _BU_SEED_OFFSET)) if need_bu else None
     keep = np.flatnonzero(art.success)
-    features = np.vstack([
-        per_source["normal"],
-        per_source["noisy"],
-        per_source["adversarial"][keep],
-    ])
     n = len(art.batch)
     labels = np.concatenate([np.zeros(2 * n, dtype=int),
                              np.ones(keep.size, dtype=int)])
     provenance = (("normal",) * n + ("noisy",) * n
                   + ("adversarial",) * keep.size)
-    return FeatureMatrix(features=features, labels=labels,
-                         provenance=provenance, feature_kind=feature_kind)
+    matrices = []
+    for v in range(max(len(ks), len(kds))):
+        parts = []
+        if need_lid:  # a single k serves every value: v % 1 == 0
+            parts.append({s: b[v % len(ks)] for s, b in lid.items()})
+        if need_kd:
+            parts.append({s: b[v % len(kds)] for s, b in kd.items()})
+        if need_bu:
+            parts.append(bu_col)
+        per_source = {
+            src: np.hstack([p[src] for p in parts]) for src in SOURCES
+        }
+        features = np.vstack([
+            per_source["normal"],
+            per_source["noisy"],
+            per_source["adversarial"][keep],
+        ])
+        matrices.append(FeatureMatrix(features=features, labels=labels,
+                                      provenance=provenance,
+                                      feature_kind=feature_kind))
+    return matrices
+
+
+def features_from(art: BatchArtifacts, feature_kind: str, k: int, *,
+                  kd: KdConfig | None = None, bu: BuConfig | None = None,
+                  reference: Minibatch | None = None) -> FeatureMatrix:
+    """Assemble a FeatureMatrix from prepared artifacts: ``features_sweep``
+    over the single value (k, kd), whose docstring gives the row layout and
+    the reference rules."""
+    kd = kd or KdConfig(bandwidth_sigma=1.0)
+    return features_sweep(art, feature_kind, [k], [kd.bandwidth_sigma],
+                          bu=bu, reference=reference)[0]
 
 
 def extract_features(net, normal_batch: Minibatch, attack_cfg: AttackConfig,
@@ -382,9 +414,10 @@ def extract_features(net, normal_batch: Minibatch, attack_cfg: AttackConfig,
 
 def lid_feature_row(net, x, reference: Minibatch, k: int) -> np.ndarray:
     """All-level LID features of a single example against a reference batch."""
-    return _lid_levels(microgradnet.activations_batch(net, np.atleast_2d(x)),
-                       microgradnet.activations_batch(net, reference.vectors),
-                       k, exclude_self=False)[0]
+    q_levels = microgradnet.activations_batch(net, np.atleast_2d(x))
+    ref_levels = microgradnet.activations_batch(net, reference.vectors)
+    return np.concatenate([_lid_columns(squared_distances(q, r), [k], False)[0]
+                           for q, r in zip(q_levels, ref_levels)])
 
 
 # --------------------------------------------------------------------------
@@ -590,14 +623,13 @@ def _cv_auc(features: FeatureMatrix, folds: int, seed: int) -> float:
 
 
 def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
-                   folds: int = 3, k: int = 20, seed: int = 0,
-                   bu: BuConfig | None = None) -> TuningResult:
+                   folds: int = 3, k: int = 20, seed: int = 0) -> TuningResult:
     """Grid-search k (lid) or the bandwidth sigma (kd) by internal CV.
 
-    For every grid value, features are built for each attack over all batches
-    (attacks and activations computed once and shared across the grid), the
-    mean cross-validated AUC per attack is taken, and the value with the
-    highest mean across attacks wins; ties go to the smaller value.
+    Each attack's batches are prepared once and swept over the whole grid
+    (``features_sweep``); then for every grid value the mean cross-validated
+    AUC per attack is taken, and the value with the highest mean across
+    attacks wins; ties go to the smaller value.
     """
     if feature_kind not in ("lid", "kd"):
         raise ValueError("only the lid (k) and kd (sigma) parameters are tunable")
@@ -609,20 +641,19 @@ def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
          for bi, b in enumerate(batches)]
         for ai, cfg in enumerate(attack_cfgs)
     ]
+    if feature_kind == "lid":
+        sweep = {"ks": [int(v) for v in grid]}
+    else:
+        sweep = {"ks": [k], "sigmas": [float(v) for v in grid]}
+    # swept[attack][batch][grid index]
+    swept = [[features_sweep(art, feature_kind, **sweep) for art in arts]
+             for arts in artifacts]
     per_attack = {cfg.kind: [] for cfg in attack_cfgs}
     means = []
-    for value in grid:
+    for g in range(len(grid)):
         cell = []
-        for arts, cfg in zip(artifacts, attack_cfgs):
-            matrices = []
-            for art in arts:
-                if feature_kind == "lid":
-                    fm = features_from(art, "lid", int(value), bu=bu)
-                else:
-                    fm = features_from(art, "kd", k,
-                                       kd=KdConfig(bandwidth_sigma=float(value)),
-                                       bu=bu)
-                matrices.append(fm)
+        for per_batch, cfg in zip(swept, attack_cfgs):
+            matrices = [by_value[g] for by_value in per_batch]
             joined = FeatureMatrix(
                 features=np.vstack([m.features for m in matrices]),
                 labels=np.concatenate([m.labels for m in matrices]),

@@ -345,8 +345,7 @@ def _recipe_fig3(pl: Pipeline, report: ExperimentReport) -> None:
         result = det.tune_parameter(pl.net, pl.train_batches, grid,
                                     feature_kind, attack_cfgs,
                                     folds=cfg.folds, k=cfg.k,
-                                    seed=cfg.seed + 5,
-                                    bu=_bu_config(cfg))
+                                    seed=cfg.seed + 5)
         points = []
         for attack_kind, values in result.per_attack_auc.items():
             for x, y in zip(result.grid, values):
@@ -389,12 +388,13 @@ def _recipe_fig4(pl: Pipeline, report: ExperimentReport) -> None:
             reference = Minibatch(member_ids=ref_ids,
                                   vectors=pl.dataset.features[ref_ids],
                                   source="normal")
-            for fraction in np.arange(0.1, 1.0, 0.1):
-                k = max(1, int(round(fraction * size)))
-                train_fm = det.features_from(query_art, "lid", k,
-                                             reference=reference)
-                test_fm = det.features_from(test_art, "lid", k,
-                                            reference=reference)
+            ks = [max(1, int(round(fraction * size)))
+                  for fraction in np.arange(0.1, 1.0, 0.1)]
+            train_fms = det.features_sweep(query_art, "lid", ks,
+                                           reference=reference)
+            test_fms = det.features_sweep(test_art, "lid", ks,
+                                          reference=reference)
+            for k, train_fm, test_fm in zip(ks, train_fms, test_fms):
                 model = _fit(pl, train_fm, attack_kind)
                 points.append({
                     "series": f"{attack_kind}/batch_{size}",

@@ -151,21 +151,32 @@ def squared_distances(queries, refs) -> np.ndarray:
     return out
 
 
-def nearest_distances(sq: np.ndarray, k: int, *,
-                      exclude_self: bool = False) -> np.ndarray:
+def nearest_distances(sq: np.ndarray, k: int, *, exclude_self: bool = False,
+                      overwrite: bool = False) -> np.ndarray:
     """(n, k) ascending nearest distances, from squared distances.
 
     Row i is bitwise ``knn_profile(query_i, refs, k, exclude_self=...)
     .distances``: ``exclude_self`` skips a row's zero distances and raises
-    ValueError if fewer than k remain; otherwise zeros stay in.
+    ValueError if fewer than k remain; otherwise zeros stay in.  The first
+    k' columns are the answer for every k' <= k.
+
+    The partial sort and the square root run in place.  With
+    ``overwrite=True`` they run in ``sq`` itself, which the call consumes and
+    the result may be a view of; pass a fresh array that is not read again.
+    Otherwise they run in a copy.
     """
-    sq = np.asarray(sq, dtype=float)
+    sq = np.asarray(sq, dtype=float) if overwrite else np.array(sq, dtype=float)
     skip = (np.count_nonzero(sq == 0.0, axis=1) if exclude_self
             else np.zeros(sq.shape[0], dtype=int))
     last = int(skip.max(initial=0)) + k
     if k < 1 or last > sq.shape[1]:
         raise ValueError(f"k must be in [1, {sq.shape[1] - last + k}] for "
                          f"this neighborhood, got {k}")
-    smallest = np.sort(np.partition(sq, last - 1, axis=1)[:, :last], axis=1)
-    return np.sqrt(np.take_along_axis(smallest, skip[:, None] + np.arange(k),
-                                      axis=1))
+    if last < sq.shape[1]:
+        sq.partition(last - 1, axis=1)
+    head = sq[:, :last]
+    head.sort(axis=1)
+    np.sqrt(head, out=head)
+    if not skip.any():
+        return head[:, :k]
+    return np.take_along_axis(head, skip[:, None] + np.arange(k), axis=1)

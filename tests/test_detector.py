@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidkit.attacks import AttackConfig
 from lidkit.characteristics import BuConfig, KdConfig, kernel_density, mle_lid
 from lidkit.detector import (FEATURE_KINDS, FeatureMatrix, _cv_auc,
                              adaptive_failure_rate, auc, extract_features,
-                             features_from, held_out_auc, layerwise_auc,
+                             features_from, features_sweep, held_out_auc,
+                             layerwise_auc,
                              lid_feature_row, load_detector,
                              load_feature_matrix, prepare_batch,
                              save_detector, save_feature_matrix, score,
@@ -357,6 +360,13 @@ def _oracle_features(art, kind, k, kd, reference):
                       blocks["adversarial"][art.success]])
 
 
+def _class0_reference(net, data):
+    """Only class-0 references, so class-1 queries have none: KD 0.0."""
+    pool = np.arange(100, 160)
+    ids = pool[predict_batch(net, data.features[pool]) == 0]
+    return Minibatch(member_ids=ids, vectors=data.features[ids])
+
+
 @pytest.mark.parametrize("kind", ["lid", "kd"])
 @pytest.mark.parametrize("mode", ["train", "heldout"])
 def test_batch_features_equal_single_query_oracles(kind, mode, moons_net,
@@ -364,18 +374,88 @@ def test_batch_features_equal_single_query_oracles(kind, mode, moons_net,
     art = prepare_batch(moons_net, moons_batch,
                         AttackConfig(kind="fgm", epsilon=0.5, seed=100),
                         seed=500)
-    reference = None
-    if mode == "heldout":
-        # only class-0 references, so class-1 queries have none: KD 0.0
-        pool = np.arange(100, 160)
-        ids = pool[predict_batch(moons_net, moons_data.features[pool]) == 0]
-        reference = Minibatch(member_ids=ids, vectors=moons_data.features[ids])
+    reference = (_class0_reference(moons_net, moons_data)
+                 if mode == "heldout" else None)
     kd = KdConfig(bandwidth_sigma=0.3)
     got = features_from(art, kind, 7, kd=kd, reference=reference).features
     want = _oracle_features(art, kind, 7, kd, reference)
     assert got.tobytes() == want.tobytes()
     if kind == "kd" and mode == "heldout":
         assert np.any(got == 0.0)
+
+
+@pytest.fixture(scope="module")
+def fgm_art(moons_net, moons_batch):
+    return prepare_batch(moons_net, moons_batch,
+                         AttackConfig(kind="fgm", epsilon=0.5, seed=100),
+                         seed=500)
+
+
+def _with_duplicate(draw, values):
+    """``values`` plus a copy of one of them at a drawn position."""
+    values = list(values)
+    values.insert(draw(st.integers(0, len(values))),
+                  values[draw(st.integers(0, len(values) - 1))])
+    return values
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["train", "heldout"]))
+def test_sweep_blocks_equal_features_from_and_the_oracles(data, mode,
+                                                          fgm_art, moons_net,
+                                                          moons_data):
+    art = fgm_art
+    reference = (_class0_reference(moons_net, moons_data)
+                 if mode == "heldout" else None)
+    # every neighbour a row has: the whole reference, or the batch less
+    # the row itself (the moons batch has no duplicate activations)
+    widest = len(art.batch) - 1 if reference is None else len(reference)
+    # k = 1 is a one-distance profile, whose LID is infinite
+    ks = data.draw(st.lists(st.integers(2, widest), min_size=1, max_size=4))
+    ks = _with_duplicate(data.draw, ks + [widest])
+    sigmas = _with_duplicate(data.draw, data.draw(st.lists(
+        st.floats(0.05, 5.0), min_size=1, max_size=3)))
+    swept = features_sweep(art, "lid", ks, reference=reference)
+    assert len(swept) == len(ks)
+    for k, fm in zip(ks, swept):
+        one = features_from(art, "lid", k, reference=reference)
+        assert fm.features.tobytes() == one.features.tobytes()
+        assert fm.provenance == one.provenance
+        want = _oracle_features(art, "lid", k, None, reference)
+        assert fm.features.tobytes() == want.tobytes()
+    swept = features_sweep(art, "kd", [ks[0]], sigmas, reference=reference)
+    assert len(swept) == len(sigmas)
+    for sigma, fm in zip(sigmas, swept):
+        kd = KdConfig(bandwidth_sigma=sigma)
+        one = features_from(art, "kd", ks[0], kd=kd, reference=reference)
+        assert fm.features.tobytes() == one.features.tobytes()
+        want = _oracle_features(art, "kd", None, kd, reference)
+        assert fm.features.tobytes() == want.tobytes()
+    if reference is None:
+        # a max k past the neighbours a train-mode row has left
+        with pytest.raises(ValueError, match="k must be") as one:
+            features_from(art, "lid", widest + 1)
+        with pytest.raises(ValueError, match="k must be") as got:
+            features_sweep(art, "lid", ks + [widest + 1])
+        assert str(got.value) == str(one.value)
+
+
+def test_sweep_serves_every_kind_and_checks_its_values(fgm_art):
+    kd, bu = KdConfig(bandwidth_sigma=0.3), BuConfig(num_runs=4, base_seed=1)
+    for kind in ("combined", "kd_bu", "bu"):
+        swept = features_sweep(fgm_art, kind, [9, 3, 9], [0.3], bu=bu)
+        for k, fm in zip((9, 3, 9), swept):
+            one = features_from(fgm_art, kind, k, kd=kd, bu=bu)
+            assert fm.features.tobytes() == one.features.tobytes()
+            assert fm.feature_kind == kind
+    with pytest.raises(ValueError, match="not both"):
+        features_sweep(fgm_art, "combined", [3, 5], [0.1, 0.3])
+    with pytest.raises(ValueError, match="at least one"):
+        features_sweep(fgm_art, "lid", [])
+    with pytest.raises(ValueError, match="k must be"):
+        features_sweep(fgm_art, "lid", [4, 0])
+    with pytest.raises(ValueError, match="bandwidth"):
+        features_sweep(fgm_art, "kd", [4], [1.0, 0.0])
 
 
 def test_zero_distance_without_exclusion_is_degenerate(moons_net,

@@ -364,3 +364,29 @@ def test_fig4_attacks_only_its_queries_and_the_test_batch(monkeypatch):
     fig4 = run_recipe("fig4", _tiny_cfg(n_test=150), write=False)
     assert not any("zero input gradient" in n for n in fig4.notes)
     assert len(attacked) == pl.cfg.fig4_queries + len(pl.test_batch)
+
+
+def test_sweeps_compute_one_distance_matrix_per_source_and_level(monkeypatch):
+    calls = []
+    real = detector.squared_distances
+
+    def squared_distances(queries, refs):
+        calls.append(len(queries))
+        return real(queries, refs)
+
+    monkeypatch.setattr(detector, "squared_distances", squared_distances)
+    cfg = _tiny_cfg(n_test=150, fig4_sizes=(20, 30))
+    report = run_recipe("fig4", cfg, write=False)
+    assert len(report.series["auc_vs_k_by_batch_size"]) == 2 * 9
+    depth = len(cfg.layers.split(",")) + 1  # every layer plus the input
+    # per (artifact: queries and test batch, reference size, source, level)
+    assert len(calls) == 2 * 2 * 3 * depth
+    pl = build_pipeline(_tiny_cfg())
+    attack_cfgs = [pl.cfg.attack_config("fgm")]
+    batches = pl.train_batches[:2]
+    for kind, grid in (("lid", (5, 8, 3)), ("kd", (0.1, 1.0, 0.3))):
+        calls.clear()
+        detector.tune_parameter(pl.net, batches, grid, kind, attack_cfgs,
+                                folds=2, k=5)
+        # per (attack, batch, source, level), whatever the grid's length
+        assert len(calls) == len(batches) * 3 * depth
