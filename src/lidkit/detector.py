@@ -265,10 +265,9 @@ def _reference_levels(art: BatchArtifacts, reference):
 
 
 def _lid_columns(sq: np.ndarray, ks, exclude_self: bool) -> list:
-    """(n,) LID of each query row for every k in ``ks``, from one fresh
-    squared-distance matrix, which this sorts in place and so consumes."""
-    near = nearest_distances(sq, max(ks), exclude_self=exclude_self,
-                             overwrite=True)
+    """(n,) LID of each query row for every k in ``ks``, from one
+    squared-distance matrix sorted once."""
+    near = nearest_distances(sq, max(ks), exclude_self=exclude_self)
     return [lid_of_distances(near[:, :k]) for k in ks]
 
 
@@ -623,7 +622,7 @@ def _cv_auc(features: FeatureMatrix, folds: int, seed: int) -> float:
 
 
 def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
-                   folds: int = 3, k: int = 20, seed: int = 0) -> TuningResult:
+                   folds: int = 3, seed: int = 0) -> TuningResult:
     """Grid-search k (lid) or the bandwidth sigma (kd) by internal CV.
 
     Each attack's batches are prepared once and swept over the whole grid
@@ -644,7 +643,7 @@ def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
     if feature_kind == "lid":
         sweep = {"ks": [int(v) for v in grid]}
     else:
-        sweep = {"ks": [k], "sigmas": [float(v) for v in grid]}
+        sweep = {"ks": [1], "sigmas": [float(v) for v in grid]}  # kd reads no k
     # swept[attack][batch][grid index]
     swept = [[features_sweep(art, feature_kind, **sweep) for art in arts]
              for arts in artifacts]

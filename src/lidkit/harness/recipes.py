@@ -344,8 +344,7 @@ def _recipe_fig3(pl: Pipeline, report: ExperimentReport) -> None:
     for feature_kind, parameter, grid in runs:
         result = det.tune_parameter(pl.net, pl.train_batches, grid,
                                     feature_kind, attack_cfgs,
-                                    folds=cfg.folds, k=cfg.k,
-                                    seed=cfg.seed + 5)
+                                    folds=cfg.folds, seed=cfg.seed + 5)
         points = []
         for attack_kind, values in result.per_attack_auc.items():
             for x, y in zip(result.grid, values):

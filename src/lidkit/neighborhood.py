@@ -151,8 +151,8 @@ def squared_distances(queries, refs) -> np.ndarray:
     return out
 
 
-def nearest_distances(sq: np.ndarray, k: int, *, exclude_self: bool = False,
-                      overwrite: bool = False) -> np.ndarray:
+def nearest_distances(sq: np.ndarray, k: int, *,
+                      exclude_self: bool = False) -> np.ndarray:
     """(n, k) ascending nearest distances, from squared distances.
 
     Row i is bitwise ``knn_profile(query_i, refs, k, exclude_self=...)
@@ -160,12 +160,10 @@ def nearest_distances(sq: np.ndarray, k: int, *, exclude_self: bool = False,
     ValueError if fewer than k remain; otherwise zeros stay in.  The first
     k' columns are the answer for every k' <= k.
 
-    The partial sort and the square root run in place.  With
-    ``overwrite=True`` they run in ``sq`` itself, which the call consumes and
-    the result may be a view of; pass a fresh array that is not read again.
-    Otherwise they run in a copy.
+    The partial sort and the square root run in place in one copy of ``sq``,
+    which the call leaves unchanged.
     """
-    sq = np.asarray(sq, dtype=float) if overwrite else np.array(sq, dtype=float)
+    sq = np.array(sq, dtype=float)
     skip = (np.count_nonzero(sq == 0.0, axis=1) if exclude_self
             else np.zeros(sq.shape[0], dtype=int))
     last = int(skip.max(initial=0)) + k

@@ -387,6 +387,6 @@ def test_sweeps_compute_one_distance_matrix_per_source_and_level(monkeypatch):
     for kind, grid in (("lid", (5, 8, 3)), ("kd", (0.1, 1.0, 0.3))):
         calls.clear()
         detector.tune_parameter(pl.net, batches, grid, kind, attack_cfgs,
-                                folds=2, k=5)
+                                folds=2)
         # per (attack, batch, source, level), whatever the grid's length
         assert len(calls) == len(batches) * 3 * depth
