@@ -82,7 +82,9 @@ def lid_of_distances(sorted_distances: np.ndarray) -> np.ndarray:
         raise ShapeError("expected a (n, k) array of sorted distances")
     if np.any(d[:, 0] <= 0.0) or np.any(d[:, -1] <= 0.0):
         raise DegenerateProfileError("zero distance inside a profile")
-    mean_log_ratio = np.mean(np.log(d / d[:, -1:]), axis=1)
+    log_ratio = d / d[:, -1:]
+    np.log(log_ratio, out=log_ratio)  # one (n, k) temporary, not two
+    mean_log_ratio = np.mean(log_ratio, axis=1)
     if np.any(mean_log_ratio == 0.0):
         raise InfiniteEstimateError("all neighbor distances are equal")
     return -1.0 / mean_log_ratio
