@@ -445,18 +445,9 @@ def _sigmoid(t):
     return 1.0 / (1.0 + np.exp(-np.clip(t, -35.0, 35.0)))
 
 
-def train_detector(features: FeatureMatrix, *, epochs: int = 5000,
-                   lr: float = 0.1, seed: int = 0,
-                   training_attack: str = "unknown") -> DetectorModel:
-    """Fit logistic regression by full-batch gradient descent.
-
-    Features are standardized to zero mean and unit variance; zero-variance
-    columns are dropped with a warning and recorded.  Descent starts from
-    zero weights and stops when the loss decrease falls below 1e-8 or the
-    epoch cap is hit.  The procedure is deterministic; ``seed`` is recorded
-    for interface symmetry only.
-    """
-    del seed  # deterministic fit; accepted so call sites can thread one seed
+def _standardize(features: FeatureMatrix):
+    """(z, mean, std, kept) of one matrix: zero-variance columns dropped with
+    a warning, the rest scaled to zero mean and unit variance."""
     y = features.labels
     if y.min() == y.max():
         raise ValueError("detector training needs both classes present")
@@ -470,25 +461,85 @@ def train_detector(features: FeatureMatrix, *, epochs: int = 5000,
     if kept.size == 0:
         raise ValueError("all features have zero variance")
     z = (raw[:, kept] - mean[kept]) / std[kept]
-    n = z.shape[0]
-    w = np.zeros(kept.size)
-    b = 0.0
-    prev_loss = np.inf
+    return z, mean[kept], std[kept], kept
+
+
+def _descend(z: np.ndarray, y: np.ndarray, epochs: int, lr: float):
+    """(W, B) of P logistic fits on ``z`` (P, n, D) and ``y`` (P, n), run as
+    one stacked full-batch gradient descent from zero.
+
+    Each fit stops on its own when its loss decrease falls below 1e-8, and
+    then leaves the stack.  The stacked ``np.matmul`` calls BLAS once per
+    slice with that slice's shape and strides, and every other step is
+    elementwise or a per-row reduction, so each fit is bitwise equal to
+    descending on it alone.
+    """
+    fits, n, width = z.shape
+    W = np.zeros((fits, width))
+    B = np.zeros(fits)
+    live = np.arange(fits)
+    w, b = W.copy(), B.copy()
+    prev_loss = np.full(fits, np.inf)
+    positive = y == 1
     for _ in range(epochs):
-        p = _sigmoid(z @ w + b)
-        eps = 1e-12
-        loss = -float(np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-        if prev_loss - loss < 1e-8:
-            break
+        p = _sigmoid(np.matmul(z, w[:, :, None])[:, :, 0] + b[:, None])
+        # the cross-entropy y*log(p+eps) + (1-y)*log(1-p+eps) with one log:
+        # with 0/1 labels the other term is a signed zero, and adding it
+        # changes no bit
+        loss = -np.log(np.where(positive, p, 1 - p) + 1e-12).mean(axis=1)
+        stop = prev_loss - loss < 1e-8
+        if stop.any():
+            W[live[stop]], B[live[stop]] = w[stop], b[stop]
+            go = ~stop
+            live, z, y, positive, p, w, b, loss = (
+                live[go], z[go], y[go], positive[go], p[go], w[go], b[go],
+                loss[go])
+            if not live.size:
+                break
         prev_loss = loss
         g = p - y
-        w -= lr * (z.T @ g) / n
-        b -= lr * float(g.mean())
-    w.setflags(write=False)
-    return DetectorModel(weights=w, bias=b, feature_mean=mean[kept],
-                         feature_std=std[kept], kept_features=tuple(kept.tolist()),
-                         feature_kind=features.feature_kind,
-                         training_attack=training_attack)
+        w -= lr * np.matmul(z.transpose(0, 2, 1), g[:, :, None])[:, :, 0] / n
+        b -= lr * g.mean(axis=1)
+    W[live], B[live] = w, b
+    return W, B
+
+
+def train_detectors(matrices, *, epochs: int = 5000, lr: float = 0.1,
+                    training_attack: str = "unknown") -> list:
+    """Fit one logistic regression per FeatureMatrix, returned in input order.
+
+    Features are standardized to zero mean and unit variance; zero-variance
+    columns are dropped with a warning and recorded.  Descent starts from
+    zero weights and stops when the loss decrease falls below 1e-8 or the
+    epoch cap is hit.  Fits that share a row count and a kept width run as
+    one stacked descent, and each is bitwise equal to fitting it alone.
+    """
+    fits = [_standardize(fm) for fm in matrices]
+    groups = {}
+    for i, (z, *_) in enumerate(fits):
+        groups.setdefault(z.shape, []).append(i)
+    params = [None] * len(fits)
+    for members in groups.values():
+        W, B = _descend(np.stack([fits[i][0] for i in members]),
+                        np.stack([matrices[i].labels for i in members]),
+                        epochs, lr)
+        W.setflags(write=False)
+        for row, i in enumerate(members):
+            params[i] = (W[row], float(B[row]))
+    return [DetectorModel(weights=w, bias=b, feature_mean=mean,
+                          feature_std=std, kept_features=tuple(kept.tolist()),
+                          feature_kind=fm.feature_kind,
+                          training_attack=training_attack)
+            for fm, (_, mean, std, kept), (w, b)
+            in zip(matrices, fits, params)]
+
+
+def train_detector(features: FeatureMatrix, *, epochs: int = 5000,
+                   lr: float = 0.1,
+                   training_attack: str = "unknown") -> DetectorModel:
+    """Fit one logistic regression: ``train_detectors`` on a batch of one."""
+    return train_detectors([features], epochs=epochs, lr=lr,
+                           training_attack=training_attack)[0]
 
 
 def score(model: DetectorModel, features) -> np.ndarray:
@@ -598,27 +649,38 @@ class TuningResult:
     selected: float
 
 
-def _cv_auc(features: FeatureMatrix, folds: int, seed: int) -> float:
-    """Mean validation AUC over simple shuffled folds."""
-    n = len(features)
+def _cv_auc(matrices, folds: int, seed: int) -> list:
+    """Mean validation AUC over simple shuffled folds, one per matrix.
+
+    The matrices are one sweep's values over the same rows, so they share
+    labels and the fold assignment, and each fold fits all of them in one
+    ``train_detectors`` call.
+    """
+    labels = matrices[0].labels
+    if any(not np.array_equal(m.labels, labels) for m in matrices):
+        raise ValueError("cross-validated matrices must share their labels")
+    n = labels.size
     order = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=int)
     assignment[order] = np.arange(n) % folds
-    scores = []
+    provenance = np.array(matrices[0].provenance)
+    scores = [[] for _ in matrices]
     for f in range(folds):
         val = assignment == f
         for part in (val, ~val):
-            if features.labels[part].min() == features.labels[part].max():
+            if labels[part].min() == labels[part].max():
                 raise ValueError("degenerate folds: a split lost one class")
-        train_fm = FeatureMatrix(features=features.features[~val],
-                                 labels=features.labels[~val],
-                                 provenance=tuple(np.array(features.provenance)[~val]),
-                                 feature_kind=features.feature_kind)
-        model = train_detector(train_fm)
-        s = score(model, features.features[val])
-        y = features.labels[val]
-        scores.append(auc(s[y == 1], s[y == 0]))
-    return float(np.mean(scores))
+        train_provenance = tuple(provenance[~val])
+        models = train_detectors([
+            FeatureMatrix(features=m.features[~val], labels=labels[~val],
+                          provenance=train_provenance,
+                          feature_kind=m.feature_kind)
+            for m in matrices])
+        y = labels[val]
+        for per_matrix, m, model in zip(scores, matrices, models):
+            s = score(model, m.features[val])
+            per_matrix.append(auc(s[y == 1], s[y == 0]))
+    return [float(np.mean(per_matrix)) for per_matrix in scores]
 
 
 def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
@@ -626,9 +688,10 @@ def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
     """Grid-search k (lid) or the bandwidth sigma (kd) by internal CV.
 
     Each attack's batches are prepared once and swept over the whole grid
-    (``features_sweep``); then for every grid value the mean cross-validated
-    AUC per attack is taken, and the value with the highest mean across
-    attacks wins; ties go to the smaller value.
+    (``features_sweep``); the mean cross-validated AUC of every grid value is
+    taken per attack, each fold fitting the whole grid at once, and the
+    value with the highest mean across attacks wins; ties go to the smaller
+    value.
     """
     if feature_kind not in ("lid", "kd"):
         raise ValueError("only the lid (k) and kd (sigma) parameters are tunable")
@@ -644,28 +707,22 @@ def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
         sweep = {"ks": [int(v) for v in grid]}
     else:
         sweep = {"ks": [1], "sigmas": [float(v) for v in grid]}  # kd reads no k
-    # swept[attack][batch][grid index]
-    swept = [[features_sweep(art, feature_kind, **sweep) for art in arts]
-             for arts in artifacts]
-    per_attack = {cfg.kind: [] for cfg in attack_cfgs}
-    means = []
-    for g in range(len(grid)):
-        cell = []
-        for per_batch, cfg in zip(swept, attack_cfgs):
-            matrices = [by_value[g] for by_value in per_batch]
-            joined = FeatureMatrix(
-                features=np.vstack([m.features for m in matrices]),
-                labels=np.concatenate([m.labels for m in matrices]),
-                provenance=tuple(p for m in matrices for p in m.provenance),
-                feature_kind=feature_kind,
-            )
-            cell_auc = _cv_auc(joined, folds, seed)
-            per_attack[cfg.kind].append(cell_auc)
-            cell.append(cell_auc)
-        means.append(float(np.mean(cell)))
+    aucs = []  # aucs[attack][grid index]
+    for arts in artifacts:
+        per_batch = [features_sweep(art, feature_kind, **sweep) for art in arts]
+        first = [by_value[0] for by_value in per_batch]
+        labels = np.concatenate([m.labels for m in first])
+        provenance = tuple(p for m in first for p in m.provenance)
+        joined = [FeatureMatrix(
+            features=np.vstack([by_value[g].features for by_value in per_batch]),
+            labels=labels, provenance=provenance, feature_kind=feature_kind)
+            for g in range(len(grid))]
+        aucs.append(_cv_auc(joined, folds, seed))
+    means = [float(np.mean(cell)) for cell in zip(*aucs)]
     best = int(np.argmax(means))  # first max on an ascending grid = smallest
     return TuningResult(grid=tuple(grid), mean_auc=tuple(means),
-                        per_attack_auc={a: tuple(v) for a, v in per_attack.items()},
+                        per_attack_auc={cfg.kind: tuple(a) for cfg, a
+                                        in zip(attack_cfgs, aucs)},
                         selected=grid[best])
 
 

@@ -104,6 +104,11 @@ class ExperimentConfig:
             raise ValueError("bu_runs must be at least 2")
         if self.table4_inputs < 2 or self.fig4_queries < 2:
             raise ValueError("table4_inputs and fig4_queries must be >= 2")
+        # fig4's smallest k is round(0.1 * size), and a LID estimate needs
+        # k >= 2: one distance has a zero log-ratio and no finite estimate
+        if any(size < 15 for size in self.fig4_sizes):
+            raise ValueError(f"fig4_sizes must all be at least 15, got "
+                             f"{tuple(self.fig4_sizes)}")
 
     def attack_config(self, kind: str) -> AttackConfig:
         """AttackConfig for one kind with ``*`` then kind-specific overrides."""

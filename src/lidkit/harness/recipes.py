@@ -223,16 +223,19 @@ def combined_features(pl: Pipeline, attack_kind: str):
     return pl.features[attack_kind]
 
 
-def _fit(pl: Pipeline, features: FeatureMatrix, attack_kind: str):
-    model = det.train_detector(features, epochs=pl.cfg.detector_epochs,
-                               lr=pl.cfg.detector_lr,
-                               training_attack=attack_kind)
-    if len(model.kept_features) < features.features.shape[1]:
-        dropped = sorted(set(range(features.features.shape[1]))
-                         - set(model.kept_features))
-        pl.notes.append(f"{attack_kind}/{features.feature_kind}: dropped "
-                        f"zero-variance feature columns {dropped}")
-    return model
+def _fit(pl: Pipeline, matrices: list, attack_kind: str) -> list:
+    """One detector per matrix, fitted together by ``train_detectors``; a
+    note per fit that dropped columns, in input order."""
+    models = det.train_detectors(matrices, epochs=pl.cfg.detector_epochs,
+                                 lr=pl.cfg.detector_lr,
+                                 training_attack=attack_kind)
+    for features, model in zip(matrices, models):
+        if len(model.kept_features) < features.features.shape[1]:
+            dropped = sorted(set(range(features.features.shape[1]))
+                             - set(model.kept_features))
+            pl.notes.append(f"{attack_kind}/{features.feature_kind}: dropped "
+                            f"zero-variance feature columns {dropped}")
+    return models
 
 
 # --------------------------------------------------------------------------
@@ -243,15 +246,16 @@ def _recipe_table1(pl: Pipeline, report: ExperimentReport) -> None:
     rows = []
     for attack_kind in pl.cfg.attacks:
         train_fm, test_fm = combined_features(pl, attack_kind)
-        for feature_kind in pl.cfg.feature_kinds:
-            tr = det.select_kind(train_fm, feature_kind)
+        kinds = pl.cfg.feature_kinds
+        models = _fit(pl, [det.select_kind(train_fm, kind) for kind in kinds],
+                      attack_kind)
+        for feature_kind, model in zip(kinds, models):
             te = det.select_kind(test_fm, feature_kind)
-            model = _fit(pl, tr, attack_kind)
             rows.append({
                 "attack": attack_kind,
                 "feature_kind": feature_kind,
                 "auc": det.held_out_auc(model, te),
-                "train_rows": len(tr),
+                "train_rows": len(train_fm),
                 "test_rows": len(te),
             })
     report.tables["auc_by_attack_and_feature"] = rows
@@ -263,9 +267,11 @@ def _recipe_table2(pl: Pipeline, report: ExperimentReport) -> None:
         report.notes.append(f"fgm not configured; transfer source is "
                             f"{source_attack}")
     train_fm, _ = combined_features(pl, source_attack)
+    kinds = pl.cfg.feature_kinds
+    models = _fit(pl, [det.select_kind(train_fm, kind) for kind in kinds],
+                  source_attack)
     rows = []
-    for feature_kind in pl.cfg.feature_kinds:
-        model = _fit(pl, det.select_kind(train_fm, feature_kind), source_attack)
+    for feature_kind, model in zip(kinds, models):
         for attack_kind in pl.cfg.attacks:
             _, test_fm = combined_features(pl, attack_kind)
             te = det.select_kind(test_fm, feature_kind)
@@ -393,8 +399,8 @@ def _recipe_fig4(pl: Pipeline, report: ExperimentReport) -> None:
                                            reference=reference)
             test_fms = det.features_sweep(test_art, "lid", ks,
                                           reference=reference)
-            for k, train_fm, test_fm in zip(ks, train_fms, test_fms):
-                model = _fit(pl, train_fm, attack_kind)
+            models = _fit(pl, train_fms, attack_kind)
+            for k, model, test_fm in zip(ks, models, test_fms):
                 points.append({
                     "series": f"{attack_kind}/batch_{size}",
                     "x": k,
@@ -415,8 +421,8 @@ def _recipe_table4(pl: Pipeline, report: ExperimentReport) -> None:
     tr_pre = FeatureMatrix(features=tr_lid.features[:, [pre_softmax]],
                            labels=tr_lid.labels,
                            provenance=tr_lid.provenance, feature_kind="lid")
-    detectors = {"scenario1": _fit(pl, tr_lid, base_attack),
-                 "scenario2": _fit(pl, tr_pre, base_attack)}
+    detectors = dict(zip(("scenario1", "scenario2"),
+                         _fit(pl, [tr_lid, tr_pre], base_attack)))
 
     n_inputs = min(cfg.table4_inputs, len(pl.test_batch))
     if n_inputs < cfg.table4_inputs:

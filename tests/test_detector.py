@@ -1,10 +1,13 @@
 """Feature matrices, logistic-regression detectors, and ranking evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidkit import detector
 from lidkit.attacks import AttackConfig
 from lidkit.characteristics import BuConfig, KdConfig, kernel_density, mle_lid
 from lidkit.detector import (FEATURE_KINDS, FeatureMatrix, _cv_auc,
@@ -14,8 +17,8 @@ from lidkit.detector import (FEATURE_KINDS, FeatureMatrix, _cv_auc,
                              lid_feature_row, load_detector,
                              load_feature_matrix, prepare_batch,
                              save_detector, save_feature_matrix, score,
-                             select_kind, train_detector, transfer_evaluate,
-                             tune_parameter)
+                             select_kind, train_detector, train_detectors,
+                             transfer_evaluate, tune_parameter)
 from lidkit.errors import (DegenerateProfileError, EmptyPositiveClassError,
                            ShapeError)
 from lidkit.microgradnet import (LayerSpec, Network, activations_batch,
@@ -183,6 +186,104 @@ def test_shuffled_labels_score_near_chance():
     assert abs(held_out_auc(model, test) - 0.5) <= 0.1
 
 
+def _descent_oracle(features, epochs, lr):
+    """The scalar fit that ``train_detectors`` stacks: standardize, then
+    full-batch gradient descent on one matrix alone.  Returns (weights, bias,
+    kept, mean, std, updates), ``updates`` counting the descent steps made."""
+    y = features.labels
+    raw = features.features
+    mean, std = raw.mean(axis=0), raw.std(axis=0)
+    kept = np.flatnonzero(std > 0.0)
+    z = (raw[:, kept] - mean[kept]) / std[kept]
+    n = z.shape[0]
+    w = np.zeros(kept.size)
+    b = 0.0
+    prev_loss = np.inf
+    updates = 0
+    for _ in range(epochs):
+        p = 1.0 / (1.0 + np.exp(-np.clip(z @ w + b, -35.0, 35.0)))
+        eps = 1e-12
+        loss = -float(np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
+        if prev_loss - loss < 1e-8:
+            break
+        prev_loss = loss
+        g = p - y
+        w -= lr * (z.T @ g) / n
+        b -= lr * float(g.mean())
+        updates += 1
+    return w, b, tuple(kept.tolist()), mean[kept], std[kept], updates
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@st.composite
+def _fit_inputs(draw):
+    """1-4 matrices over two row counts and up to three columns, some
+    constant; class shifts from none (early stops) to separable (runs long)."""
+    rows = draw(st.sampled_from([(6, 9), (8, 8), (12, 5)]))
+    matrices = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from(rows))
+        width = draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        labels = (rng.permutation(n) < draw(st.integers(1, n - 1))).astype(int)
+        shift = draw(st.sampled_from([0.0, 0.3, 1.0, 6.0]))
+        features = rng.standard_normal((n, width)) + shift * labels[:, None]
+        constant = draw(st.lists(st.booleans(), min_size=width,
+                                 max_size=width))
+        if all(constant):
+            constant[0] = False
+        features[:, constant] = 2.5
+        prov = ["normal" if y == 0 else "adversarial" for y in labels]
+        matrices.append(_fm(features, labels, prov))
+    return matrices
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices=_fit_inputs(), epochs=st.sampled_from([0, 1, 40, 1500]),
+       lr=st.sampled_from([0.1, 0.5]))
+def test_stacked_fits_equal_the_scalar_descent_bitwise(matrices, epochs, lr):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        models = train_detectors(matrices, epochs=epochs, lr=lr,
+                                 training_attack="bim_a")
+    assert len(models) == len(matrices)
+    for fm, model in zip(matrices, models):
+        w, b, kept, mean, std, _ = _descent_oracle(fm, epochs, lr)
+        assert _bits(model.weights) == _bits(w)
+        assert _bits(model.bias) == _bits(b)
+        assert model.kept_features == kept
+        assert _bits(model.feature_mean) == _bits(mean)
+        assert _bits(model.feature_std) == _bits(std)
+        assert model.training_attack == "bim_a"
+
+
+def test_stacked_fits_stop_on_their_own_and_raise_as_before():
+    rng = np.random.default_rng(3)
+    labels = np.repeat([0, 1], 20)
+    prov = ["normal"] * 20 + ["adversarial"] * 20
+    noisy = _fm(rng.standard_normal((40, 2)) + 0.2 * labels[:, None],
+                labels, prov)
+    separable = _fm(rng.standard_normal((40, 2)) + 8.0 * labels[:, None],
+                    labels, prov)
+    fits = [_descent_oracle(fm, 3000, 0.1) for fm in (separable, noisy)]
+    assert fits[0][-1] == 3000 and fits[1][-1] < 1000
+    models = train_detectors([separable, noisy], epochs=3000)
+    for fit, model in zip(fits, models):
+        assert _bits(model.weights) == _bits(fit[0])
+        assert _bits(model.bias) == _bits(fit[1])
+
+    single_class = _fm([[0.0], [1.0]], [0, 0], ("normal", "noisy"))
+    with pytest.raises(ValueError, match="both classes"):
+        train_detectors([noisy, single_class])
+    constant = _fm([[3.0], [3.0]], [0, 1], ("normal", "adversarial"))
+    with pytest.warns(UserWarning, match="zero-variance"):
+        with pytest.raises(ValueError, match="all features have zero variance"):
+            train_detectors([noisy, constant])
+
+
 # --------------------------------------------------------------------------
 # ranking measures
 
@@ -238,7 +339,7 @@ def test_cross_validation_rejects_single_class_folds():
     fm = _fm(np.arange(12.0).reshape(6, 2), [1, 0, 0, 0, 0, 0],
              ("adversarial", "normal", "normal", "normal", "noisy", "noisy"))
     with pytest.raises(ValueError, match="degenerate folds"):
-        _cv_auc(fm, folds=3, seed=0)
+        _cv_auc([fm], folds=3, seed=0)
 
 
 # --------------------------------------------------------------------------
@@ -485,6 +586,26 @@ def test_tuning_sweeps_the_grid_and_reports_per_attack(blob_net, blob_data):
     assert set(result.per_attack_auc) == {"opt"}
     assert result.selected in result.grid
     assert all(0.0 <= v <= 1.0 for v in result.mean_auc)
+
+
+def test_tuning_fits_each_folds_grid_in_one_stacked_descent(blob_net,
+                                                            blob_data,
+                                                            monkeypatch):
+    stacks = []
+    real = detector._descend
+
+    def descend(z, y, epochs, lr):
+        stacks.append(z.shape[0])
+        return real(z, y, epochs, lr)
+
+    monkeypatch.setattr(detector, "_descend", descend)
+    batches = [Minibatch(member_ids=np.arange(20),
+                         vectors=blob_data.features[:20])]
+    cfgs = [AttackConfig(kind="fgm", epsilon=0.5, seed=1),
+            AttackConfig(kind="bim_a", epsilon=0.5, max_iters=5, seed=2)]
+    tune_parameter(blob_net, batches, [3, 5, 8], "lid", cfgs, folds=2, seed=0)
+    # one descent per (attack, fold), each stacking the whole grid
+    assert stacks == [3] * len(cfgs) * 2
 
 
 def test_tuning_validation(blob_net):

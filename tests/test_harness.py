@@ -100,6 +100,7 @@ def test_load_config_reads_files_and_layers_on_base(tmp_path):
     ("feature.bu_runs = 1\n", "bu_runs"),
     ("tune.target = bu\n", "lid or kd"),
     ("recipe.table4.inputs = 1\n", "table4_inputs"),
+    ("recipe.fig4.sizes = 14, 100\n", "at least 15"),
     ("attack.list = fgm, pgd\n", "unknown attack"),
     ("feature.kinds = lid, entropy\n", "feature kind"),
 ])
