@@ -140,7 +140,8 @@ __all__ = [
     "FEATURE_KINDS", "FeatureMatrix", "DetectorModel", "TuningResult",
     "prepare_batch", "features_from", "features_sweep", "extract_features",
     "select_kind",
-    "lid_feature_row", "train_detector", "train_detectors", "score", "auc", "held_out_auc",
+    "lid_feature_row", "train_detector", "train_detectors", "score", "auc",
+    "held_out_auc",
     "transfer_evaluate", "layerwise_auc", "tune_parameter",
     "adaptive_failure_rate", "save_feature_matrix", "load_feature_matrix",
     "save_detector", "load_detector",

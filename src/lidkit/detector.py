@@ -21,6 +21,12 @@ activations — everything independent of k and sigma) and ``features_sweep``
 distance matrix per (source, level) and serves every swept value from it;
 ``features_from`` is a sweep of one value, and ``extract_features`` composes
 ``prepare_batch`` with it.
+
+Detectors are logistic regressions fitted by full-batch gradient descent.
+``train_detectors`` fits a list of matrices: fits that share a row count and
+a kept width run as one stacked descent, in which each fit stops on its own
+and is bitwise equal to fitting it alone.  ``train_detector`` is a list of
+one, and ``tune_parameter`` fits each fold's whole grid in one call.
 """
 
 from __future__ import annotations
@@ -518,20 +524,20 @@ def train_detectors(matrices, *, epochs: int = 5000, lr: float = 0.1,
     groups = {}
     for i, (z, *_) in enumerate(fits):
         groups.setdefault(z.shape, []).append(i)
-    params = [None] * len(fits)
+    models = [None] * len(fits)
     for members in groups.values():
         W, B = _descend(np.stack([fits[i][0] for i in members]),
                         np.stack([matrices[i].labels for i in members]),
                         epochs, lr)
         W.setflags(write=False)
         for row, i in enumerate(members):
-            params[i] = (W[row], float(B[row]))
-    return [DetectorModel(weights=w, bias=b, feature_mean=mean,
-                          feature_std=std, kept_features=tuple(kept.tolist()),
-                          feature_kind=fm.feature_kind,
-                          training_attack=training_attack)
-            for fm, (_, mean, std, kept), (w, b)
-            in zip(matrices, fits, params)]
+            _, mean, std, kept = fits[i]
+            models[i] = DetectorModel(
+                weights=W[row], bias=float(B[row]), feature_mean=mean,
+                feature_std=std, kept_features=tuple(kept.tolist()),
+                feature_kind=matrices[i].feature_kind,
+                training_attack=training_attack)
+    return models
 
 
 def train_detector(features: FeatureMatrix, *, epochs: int = 5000,
@@ -652,13 +658,11 @@ class TuningResult:
 def _cv_auc(matrices, folds: int, seed: int) -> list:
     """Mean validation AUC over simple shuffled folds, one per matrix.
 
-    The matrices are one sweep's values over the same rows, so they share
-    labels and the fold assignment, and each fold fits all of them in one
-    ``train_detectors`` call.
+    The matrices must be one sweep's values over the same rows: they share
+    the first one's labels, provenance and fold assignment, and each fold
+    fits all of them in one ``train_detectors`` call.
     """
     labels = matrices[0].labels
-    if any(not np.array_equal(m.labels, labels) for m in matrices):
-        raise ValueError("cross-validated matrices must share their labels")
     n = labels.size
     order = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=int)
