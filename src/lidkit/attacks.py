@@ -1,4 +1,5 @@
-"""Evasion attacks against the dense classifiers, plus magnitude-matched noise.
+"""Evasion attacks against the dense classifiers, plus the two noise kinds
+that ``detector.prepare_batch`` matches to each attack's magnitude.
 
 All attacks share one contract: they take a network, a clean input, and the
 input's original label, and return an AttackOutcome whose ``success`` flag is
@@ -459,29 +460,6 @@ def minmax_pixel_noise(x, count: int, seed: int, *, clip_min: float = 0.0,
     noisy = x.copy()
     noisy[idx] = np.where(toward_max, clip_max, clip_min)
     return noisy
-
-
-def matched_noise(x, outcome: AttackOutcome, style: str, seed: int, *,
-                  clip_min: float = 0.0, clip_max: float = 1.0) -> np.ndarray:
-    """Noisy counterpart of a successful attack, matched in magnitude.
-
-    ``gaussian_l2`` matches the L2 perturbation norm (before clipping);
-    ``minmax_pixels`` matches the number of changed features, each flipped to
-    a random box extreme.
-    """
-    x = np.asarray(x, dtype=float)
-    if not outcome.success:
-        raise ValueError("matched noise is defined for successful attacks only")
-    if style == "gaussian_l2":
-        return gaussian_l2_noise(x, outcome.l2_perturbation, seed,
-                                 clip_min=clip_min, clip_max=clip_max)
-    if style == "minmax_pixels":
-        changed = int(np.count_nonzero(outcome.adversarial != x))
-        if changed == 0:
-            raise ValueError("attack changed no features")
-        return minmax_pixel_noise(x, changed, seed, clip_min=clip_min,
-                                  clip_max=clip_max)
-    raise ValueError(f"unknown noise style {style!r}")
 
 
 # --------------------------------------------------------------------------

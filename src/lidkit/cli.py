@@ -2,8 +2,13 @@
 
 Every subcommand reads the same flat config format (see the README for the
 key list); ``--seed``, ``--out``, and ``--workers`` override the config.
-Exit codes: 0 success, 1 validation problem (bad flags, bad config, missing
-files), 2 runtime failure.
+The stages that touch data run on the recipes' pipeline: ``train-net``
+trains the network ``build_pipeline`` would, and ``attack`` and
+``extract-features`` attack the recipes' detector-training minibatches and
+held-out batch.  So ``train-detector`` on ``features_<attack>_<kind>.csv``
+and ``evaluate`` on ``features_<attack>_<kind>_test.csv`` give table1's AUC
+for that cell.  Exit codes: 0 success, 1 validation problem (bad flags, bad
+config, missing files), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,13 +21,11 @@ import sys
 import numpy as np
 
 from . import attacks, detector, microgradnet
-from .characteristics import BuConfig, KdConfig
 from .errors import LidkitError, ParseError, ShapeError
 from .harness import config as config_mod
 from .harness import recipes
 from .harness.data import save_csv
 from .harness.report import _jsonable
-from .neighborhood import sample_minibatch
 
 
 class _UsageError(Exception):
@@ -50,8 +53,10 @@ def _build_parser() -> _Parser:
     for name, help_text in [
         ("gen-data", "generate a synthetic dataset CSV"),
         ("train-net", "train a classifier and save it"),
-        ("attack", "attack a sampled minibatch and write outcome CSVs"),
-        ("extract-features", "write feature matrices for the configured kinds"),
+        ("attack", "attack the detector-training minibatches and write "
+                   "outcome CSVs"),
+        ("extract-features", "write train and held-out feature matrices for "
+                             "the configured kinds"),
         ("train-detector", "fit a detector on a saved feature matrix"),
         ("evaluate", "score a saved detector on a saved feature matrix"),
         ("tune", "grid-search k (lid) or sigma (kd) and write the curve"),
@@ -83,15 +88,10 @@ def _out_dir(cfg) -> str:
     return cfg.out_dir
 
 
-def _require_net(cfg):
+def _pipeline_on_saved_net(cfg) -> recipes.Pipeline:
     if cfg.net_path is None:
         raise ValueError("this command needs network.path in the config")
-    return microgradnet.load_network(cfg.net_path)
-
-
-def _prediction_batch(cfg, data):
-    size = min(cfg.minibatch_size, len(data))
-    return sample_minibatch(data.features, size, cfg.seed)
+    return recipes.build_pipeline(cfg)
 
 
 def _cmd_gen_data(cfg) -> int:
@@ -107,16 +107,8 @@ def _cmd_gen_data(cfg) -> int:
 def _cmd_train_net(cfg) -> int:
     cfg.validate()
     data = recipes.load_dataset(cfg)
-    specs = config_mod.parse_layers(
-        cfg.layers or config_mod.default_layers(data.n_classes),
-        data.features.shape[1])
-    train = slice(0, min(cfg.n_train, len(data)))
-    net = microgradnet.train_sgd(
-        data.features[train], data.labels[train], specs,
-        microgradnet.SgdConfig(epochs=cfg.net_epochs,
-                               learning_rate=cfg.net_lr,
-                               batch_size=cfg.net_batch, seed=cfg.seed))
-    rest = slice(train.stop, None)
+    net = recipes.train_network(cfg, data)
+    rest = slice(cfg.n_train, None)
     holdout = data.features[rest]
     if holdout.shape[0]:
         acc = float(np.mean(microgradnet.predict_batch(net, holdout)
@@ -129,40 +121,32 @@ def _cmd_train_net(cfg) -> int:
 
 
 def _cmd_attack(cfg) -> int:
-    cfg.validate()
-    net = _require_net(cfg)
-    data = recipes.load_dataset(cfg)
-    batch = _prediction_batch(cfg, data)
-    labels = microgradnet.predict_batch(net, batch.vectors)
+    pl = _pipeline_on_saved_net(cfg)
     out_dir = _out_dir(cfg)
     for kind in cfg.attacks:
-        acfg = cfg.attack_config(kind)
-        outcomes, _ = detector.attack_batch(net, batch, acfg, labels)
+        train_arts, _ = recipes.artifacts_for(pl, kind)
+        ids = [i for art in train_arts for i in art.batch.member_ids]
+        outcomes = [o for art in train_arts for o in art.outcomes]
         path = os.path.join(out_dir, f"attack_{kind}.csv")
-        attacks.save_attack_outcomes(path, batch.member_ids, outcomes, kind)
+        attacks.save_attack_outcomes(path, ids, outcomes, kind)
         n_ok = sum(o.success for o in outcomes)
         print(f"{kind}: {n_ok}/{len(outcomes)} successful -> {path}")
     return 0
 
 
 def _cmd_extract_features(cfg) -> int:
-    cfg.validate()
-    net = _require_net(cfg)
-    data = recipes.load_dataset(cfg)
-    batch = _prediction_batch(cfg, data)
+    pl = _pipeline_on_saved_net(cfg)
     out_dir = _out_dir(cfg)
     attack_kind = cfg.attacks[0]
-    acfg = cfg.attack_config(attack_kind)
-    art = detector.prepare_batch(net, batch, acfg, cfg.seed,
-                                 workers=cfg.workers)
+    train_fm, test_fm = recipes.combined_features(pl, attack_kind)
     for kind in cfg.feature_kinds:
-        fm = detector.features_from(
-            art, kind, cfg.k, kd=KdConfig(bandwidth_sigma=cfg.sigma),
-            bu=BuConfig(num_runs=cfg.bu_runs, base_seed=cfg.seed + 10_000))
-        path = os.path.join(out_dir, f"features_{attack_kind}_{kind}.csv")
-        detector.save_feature_matrix(fm, path)
-        print(f"{kind}: {len(fm)} rows x {fm.features.shape[1]} features "
-              f"-> {path}")
+        for suffix, combined in (("", train_fm), ("_test", test_fm)):
+            fm = detector.select_kind(combined, kind)
+            path = os.path.join(out_dir,
+                                f"features_{attack_kind}_{kind}{suffix}.csv")
+            detector.save_feature_matrix(fm, path)
+            print(f"{kind}: {len(fm)} rows x {fm.features.shape[1]} features "
+                  f"-> {path}")
     return 0
 
 

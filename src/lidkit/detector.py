@@ -53,9 +53,6 @@ from .neighborhood import knn_profile  # noqa: F401  (see mle_lid above)
 FEATURE_KINDS = ("lid", "kd", "bu", "kd_bu", "combined")
 SOURCES = ("normal", "noisy", "adversarial")
 
-# offset separating per-example noise seeds from the uncertainty seed block
-_BU_SEED_OFFSET = 10_000
-
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -169,20 +166,27 @@ class BatchArtifacts:
     preds: dict
     seed: int
     notes: list
-    _memo: dict
 
 
-def attack_batch(net, batch: Minibatch, attack_cfg: AttackConfig, labels, *,
-                 workers: int = 1):
-    """(outcomes, notes) of attacking every row j with ``attack_cfg.seed + j``.
+def prepare_batch(net, normal_batch: Minibatch, attack_cfg: AttackConfig,
+                  seed: int, *, workers: int = 1) -> BatchArtifacts:
+    """Attack every batch member and build the noisy counterparts.
 
-    Expected dead ends become failed outcomes with a note: an exhausted
-    saliency attack keeps its partial iterate, a zero input gradient the input.
+    Per-example determinism: example j attacks with ``attack_cfg.seed + j``
+    and draws its noise with ``seed + j``.  Expected dead ends become failed
+    outcomes with a note: an exhausted saliency attack keeps its partial
+    iterate, a zero input gradient the input.  Noise magnitudes are matched
+    to the example's own attack; failed attacks fall back to the smallest
+    successful magnitude in the batch so their noisy counterparts stay
+    comparable.
     """
-    refs = batch if attack_cfg.kind == "adaptive_opt" else None
+    xs = normal_batch.vectors
+    n = xs.shape[0]
+    labels = microgradnet.predict_batch(net, xs)
+    refs = normal_batch if attack_cfg.kind == "adaptive_opt" else None
 
     def work(j):
-        x = batch.vectors[j]
+        x = xs[j]
         cfg_j = replace(attack_cfg, seed=attack_cfg.seed + j)
         try:
             return run_attack(net, x, int(labels[j]), cfg_j, refs=refs), None
@@ -199,35 +203,17 @@ def attack_batch(net, batch: Minibatch, attack_cfg: AttackConfig, labels, *,
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(len(batch))))
+            results = list(pool.map(work, range(n)))
     else:
-        results = [work(j) for j in range(len(batch))]
+        results = [work(j) for j in range(n)]
     notes = [f"example {j}: {r[1]}" for j, r in enumerate(results)
              if r[1] is not None]
-    return [r[0] for r in results], notes
-
-
-def prepare_batch(net, normal_batch: Minibatch, attack_cfg: AttackConfig,
-                  seed: int, *, workers: int = 1) -> BatchArtifacts:
-    """Attack every batch member and build the noisy counterparts.
-
-    Per-example determinism: example j attacks with ``attack_cfg.seed + j``
-    and draws its noise with ``seed + j``.  Noise magnitudes are matched to
-    the example's own attack; failed attacks fall back to the smallest
-    successful magnitude in the batch so their noisy counterparts stay
-    comparable.
-    """
-    xs = normal_batch.vectors
-    n = xs.shape[0]
-    labels = microgradnet.predict_batch(net, xs)
-    outcomes, notes = attack_batch(net, normal_batch, attack_cfg, labels,
-                                   workers=workers)
+    outcomes = [r[0] for r in results]
     success = np.array([o.success for o in outcomes], dtype=bool)
 
-    style = "minmax_pixels" if attack_cfg.kind == "jsma" else "gaussian_l2"
     lo, hi = attack_cfg.clip_min, attack_cfg.clip_max
     noisy = np.empty_like(xs)
-    if style == "gaussian_l2":
+    if attack_cfg.kind != "jsma":  # L2 noise; jsma's is min/max pixel flips
         mags = np.array([o.l2_perturbation for o in outcomes])
         positive = mags[mags > 0]
         if positive.size == 0:
@@ -259,8 +245,7 @@ def prepare_batch(net, normal_batch: Minibatch, attack_cfg: AttackConfig,
     return BatchArtifacts(net=net, batch=normal_batch,
                           attack_kind=attack_cfg.kind, labels=labels,
                           outcomes=outcomes, success=success, noisy=noisy,
-                          levels=levels, preds=preds, seed=seed, notes=notes,
-                          _memo={})
+                          levels=levels, preds=preds, seed=seed, notes=notes)
 
 
 def _reference_levels(art: BatchArtifacts, reference):
@@ -313,17 +298,12 @@ def _sweep_blocks(art: BatchArtifacts, ks, kds, reference):
 
 
 def _bu_column(art: BatchArtifacts, bu_cfg: BuConfig) -> dict:
-    key = ("bu", bu_cfg.num_runs, bu_cfg.base_seed)
-    if key not in art._memo:
-        inputs = {"normal": art.batch.vectors,
-                  "adversarial": np.stack([o.adversarial for o in art.outcomes]),
-                  "noisy": art.noisy}
-        art._memo[key] = {
-            src: characteristics.bayes_uncertainty_batch(art.net, inputs[src],
+    inputs = {"normal": art.batch.vectors,
+              "adversarial": np.stack([o.adversarial for o in art.outcomes]),
+              "noisy": art.noisy}
+    return {src: characteristics.bayes_uncertainty_batch(art.net, inputs[src],
                                                          bu_cfg)[:, None]
-            for src in SOURCES
-        }
-    return art._memo[key]
+            for src in SOURCES}
 
 
 def features_sweep(art: BatchArtifacts, feature_kind: str, ks,
@@ -335,7 +315,8 @@ def features_sweep(art: BatchArtifacts, feature_kind: str, ks,
     a single value, which every matrix shares.  Matrix v equals
     ``features_from(art, feature_kind, ks[v],
     kd=KdConfig(bandwidth_sigma=sigmas[v]), ...)``, but the distances behind
-    it are computed once per (source, level) for all values together.
+    it are computed once per (source, level) for all values together.  A kind
+    that reads BU (bu, kd_bu, combined) needs ``bu``.
 
     With ``reference=None`` the batch itself is the reference (the training
     phase, where normal queries leave themselves out); otherwise all queries
@@ -355,6 +336,9 @@ def features_sweep(art: BatchArtifacts, feature_kind: str, ks,
     need_bu = feature_kind in ("bu", "kd_bu", "combined")
     if need_lid and min(ks) < 1:
         raise ValueError(f"k must be at least 1, got {min(ks)}")
+    if need_bu and bu is None:
+        raise ValueError(f"feature kind {feature_kind!r} reads BU and needs "
+                         f"a BuConfig")
     if not art.success.any():
         raise EmptyPositiveClassError(
             f"every {art.attack_kind} attack failed on this batch")
@@ -364,8 +348,7 @@ def features_sweep(art: BatchArtifacts, feature_kind: str, ks,
     if feature_kind == "kd_bu":
         pre_softmax = art.net.depth - 2
         kd = {s: b[:, :, [pre_softmax]] for s, b in kd.items()}
-    bu_col = _bu_column(art, bu or BuConfig(
-        num_runs=50, base_seed=art.seed + _BU_SEED_OFFSET)) if need_bu else None
+    bu_col = _bu_column(art, bu) if need_bu else None
     keep = np.flatnonzero(art.success)
     n = len(art.batch)
     labels = np.concatenate([np.zeros(2 * n, dtype=int),

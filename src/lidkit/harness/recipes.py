@@ -76,6 +76,19 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
                          cfg.seed, **params)
 
 
+def train_network(cfg: ExperimentConfig, data: Dataset):
+    """The config's classifier, trained by SGD on the first n_train rows."""
+    specs = parse_layers(cfg.layers or default_layers(data.n_classes),
+                         data.features.shape[1])
+    if specs[-1].out_dim < data.n_classes:
+        raise ValueError("output layer is narrower than the label range")
+    pretrain = slice(0, cfg.n_train)
+    return microgradnet.train_sgd(
+        data.features[pretrain], data.labels[pretrain], specs,
+        SgdConfig(epochs=cfg.net_epochs, learning_rate=cfg.net_lr,
+                  batch_size=cfg.net_batch, seed=cfg.seed))
+
+
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     cfg.validate()
     notes = []
@@ -92,21 +105,13 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     if data.n_classes < 2:
         raise ValueError("dataset must contain at least two classes")
 
-    specs = parse_layers(cfg.layers or default_layers(data.n_classes),
-                         data.features.shape[1])
-    if specs[-1].out_dim < data.n_classes:
-        raise ValueError("output layer is narrower than the label range")
-    pretrain = slice(0, cfg.n_train)
     if cfg.net_path is not None:
         net = microgradnet.load_network(cfg.net_path)
         if net.input_dim != data.features.shape[1]:
             raise ValueError("loaded network does not match the dataset width")
         notes.append(f"network loaded from {cfg.net_path}")
     else:
-        net = microgradnet.train_sgd(
-            data.features[pretrain], data.labels[pretrain], specs,
-            SgdConfig(epochs=cfg.net_epochs, learning_rate=cfg.net_lr,
-                      batch_size=cfg.net_batch, seed=cfg.seed))
+        net = train_network(cfg, data)
 
     pool_ids = np.arange(cfg.n_train, cfg.n_train + cfg.n_test)
     preds = microgradnet.predict_batch(net, data.features[pool_ids])
@@ -242,7 +247,19 @@ def _fit(pl: Pipeline, matrices: list, attack_kind: str) -> list:
 # individual recipes
 
 
+def _check_bu_has_dropout(pl: Pipeline) -> None:
+    """Reject the bu kind before any attack runs if the network has no
+    dropout layer with a positive rate: every stochastic pass then gives the
+    same output, so BU is 0 up to rounding and carries no signal."""
+    if "bu" in pl.cfg.feature_kinds and not any(
+            spec.kind == "dropout" and spec.dropout_rate > 0
+            for spec in pl.net.layers):
+        raise ValueError("feature kind 'bu' needs a dropout layer in the "
+                         "network; without one BU is 0 up to rounding")
+
+
 def _recipe_table1(pl: Pipeline, report: ExperimentReport) -> None:
+    _check_bu_has_dropout(pl)
     rows = []
     for attack_kind in pl.cfg.attacks:
         train_fm, test_fm = combined_features(pl, attack_kind)
@@ -262,6 +279,7 @@ def _recipe_table1(pl: Pipeline, report: ExperimentReport) -> None:
 
 
 def _recipe_table2(pl: Pipeline, report: ExperimentReport) -> None:
+    _check_bu_has_dropout(pl)
     source_attack = "fgm" if "fgm" in pl.cfg.attacks else pl.cfg.attacks[0]
     if source_attack != "fgm":
         report.notes.append(f"fgm not configured; transfer source is "

@@ -2,7 +2,7 @@
 
 The point of this module is not speed but transparency: every forward pass can
 return the activations of every layer (the input counts as layer 0), and exact
-input gradients are available for arbitrary scalar objectives.  That is what
+input gradients are available for any cotangent at any level.  That is what
 the neighborhood characteristics and the attacks are built on.
 
 Conventions, fixed once and relied on everywhere:
@@ -21,8 +21,7 @@ Conventions, fixed once and relied on everywhere:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,23 +135,6 @@ class CrossEntropy:
     """Cross-entropy of the softmax output against a fixed integer label."""
 
     label: int
-
-
-@dataclass(frozen=True)
-class LogitMargin:
-    """``logit[target] - max(other logits)`` at the pre-softmax layer."""
-
-    target: int
-
-
-@dataclass(frozen=True)
-class CustomScalar:
-    """Arbitrary scalar of the softmax probabilities.
-
-    ``fn(probs)`` must return ``(value, dvalue_dprobs)``.
-    """
-
-    fn: Callable
 
 
 # --------------------------------------------------------------------------
@@ -287,43 +269,24 @@ def backprop_to_input(net: Network, per_layer, index: int,
 
 
 def input_gradient(net: Network, x, objective) -> np.ndarray:
-    """Exact gradient of a scalar objective w.r.t. the input.
+    """Exact gradient of the CrossEntropy(label) objective w.r.t. the input.
 
-    Objectives: CrossEntropy(label), LogitMargin(target), CustomScalar(fn).
-    Gradients always use deterministic dropout scaling.  Raises
-    NumericOverflowError if the forward pass is non-finite.
+    Attacks that need another objective backpropagate its cotangent with
+    ``backprop_to_input``.  Gradients always use deterministic dropout
+    scaling.  Raises NumericOverflowError if the forward pass is non-finite.
     """
+    if not isinstance(objective, CrossEntropy):
+        raise TypeError(f"unknown objective {objective!r}")
+    if not 0 <= objective.label < net.output_dim:
+        raise ValueError("label out of range")
     x = _check_input(net, x)
     per_layer = tuple(r[0] for r in _forward_rows(net, x[None, :]))
     for a in per_layer:
         if not np.all(np.isfinite(a)):
             raise NumericOverflowError("forward pass produced non-finite values")
-    logits_index = net.depth - 2
-    probs = per_layer[-1]
-    if isinstance(objective, CrossEntropy):
-        if not 0 <= objective.label < net.output_dim:
-            raise ValueError("label out of range")
-        cot = probs.copy()
-        cot[objective.label] -= 1.0
-        return backprop_to_input(net, per_layer, logits_index, cot)
-    if isinstance(objective, LogitMargin):
-        t = objective.target
-        if not 0 <= t < net.output_dim:
-            raise ValueError("target out of range")
-        z = per_layer[logits_index]
-        others = np.delete(np.arange(net.output_dim), t)
-        runner = others[int(np.argmax(z[others]))]
-        cot = np.zeros_like(z)
-        cot[t] = 1.0
-        cot[runner] -= 1.0
-        return backprop_to_input(net, per_layer, logits_index, cot)
-    if isinstance(objective, CustomScalar):
-        _, dprobs = objective.fn(probs)
-        dprobs = np.asarray(dprobs, dtype=float)
-        if dprobs.shape != probs.shape:
-            raise ShapeError("custom objective gradient has wrong shape")
-        return backprop_to_input(net, per_layer, net.depth - 1, dprobs)
-    raise TypeError(f"unknown objective {objective!r}")
+    cot = per_layer[-1].copy()
+    cot[objective.label] -= 1.0
+    return backprop_to_input(net, per_layer, net.depth - 2, cot)
 
 
 def logit_jacobian(net: Network, x) -> np.ndarray:

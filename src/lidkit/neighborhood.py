@@ -77,31 +77,6 @@ class DistanceProfile:
         d.setflags(write=False)
 
 
-def sample_minibatch(vectors: np.ndarray, size: int, seed: int, *,
-                     source: str = "normal", member_ids=None) -> Minibatch:
-    """Uniform sample without replacement; ``size == n`` gives a permutation.
-
-    ``member_ids`` defaults to row indices 0..n-1; when given, sampled ids are
-    taken from it so minibatch members keep their dataset identity.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2:
-        raise ShapeError("expected a (n, d) array")
-    n = vectors.shape[0]
-    if not 1 <= size <= n:
-        raise ValueError(f"size must be in [1, {n}], got {size}")
-    if member_ids is None:
-        member_ids = np.arange(n)
-    else:
-        member_ids = np.asarray(member_ids)
-        if member_ids.shape[0] != n:
-            raise ValueError("member_ids and vectors do not align")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(n, size=size, replace=False)
-    return Minibatch(member_ids=tuple(int(i) for i in member_ids[chosen]),
-                     vectors=vectors[chosen], source=source)
-
-
 def distances_to(query, refs: Minibatch) -> np.ndarray:
     """L2 distance from ``query`` to every reference row, in row order."""
     q = np.asarray(query, dtype=float)

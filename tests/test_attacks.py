@@ -7,7 +7,7 @@ import pytest
 
 from lidkit.attacks import (ATTACK_KINDS, AttackConfig, AttackOutcome,
                             _best_pair, adaptive_opt_lid, bim_a, bim_b, fgm,
-                            gaussian_l2_noise, jsma, matched_noise,
+                            gaussian_l2_noise, jsma,
                             minmax_pixel_noise, opt_l2, run_attack,
                             save_attack_outcomes)
 from lidkit.errors import NoDirectionError
@@ -274,39 +274,6 @@ def test_pixel_noise_flips_exactly_count_interior_features():
     # counts beyond the width are capped, not rejected
     capped = minmax_pixel_noise(x, 99, seed=1)
     assert np.all(np.isin(capped, [0.0, 1.0]))
-
-
-def test_matched_noise_styles(blob_net, blob_holdout):
-    xs, ys = _correct_points(blob_net, blob_holdout, 3)
-    cfg = AttackConfig(kind="opt", max_iters=25, seed=7)
-    out = opt_l2(blob_net, xs[0], int(ys[0]), cfg)
-    assert out.success
-    noisy = matched_noise(xs[0], out, "gaussian_l2", seed=1, clip_min=-1e9,
-                          clip_max=1e9)
-    assert np.linalg.norm(noisy - xs[0]) == pytest.approx(
-        out.l2_perturbation, abs=1e-9 * max(out.l2_perturbation, 1.0))
-    pixel = matched_noise(np.full(5, 0.5),
-                          AttackOutcome(adversarial=np.array([1.0, 0.5, 0.0, 0.5, 0.5]),
-                                        success=True, iterations_used=1,
-                                        l2_perturbation=0.7),
-                          "minmax_pixels", seed=2)
-    assert np.count_nonzero(pixel != 0.5) == 2
-
-
-def test_matched_noise_validation():
-    x = np.full(3, 0.5)
-    failed = AttackOutcome(adversarial=x.copy(), success=False,
-                           iterations_used=0, l2_perturbation=0.0)
-    with pytest.raises(ValueError, match="successful"):
-        matched_noise(x, failed, "gaussian_l2", seed=0)
-    unmoved = AttackOutcome(adversarial=x.copy(), success=True,
-                            iterations_used=1, l2_perturbation=0.0)
-    with pytest.raises(ValueError, match="changed"):
-        matched_noise(x, unmoved, "minmax_pixels", seed=0)
-    moved = AttackOutcome(adversarial=x + 0.1, success=True,
-                          iterations_used=1, l2_perturbation=0.1)
-    with pytest.raises(ValueError, match="style"):
-        matched_noise(x, moved, "salt_and_pepper", seed=0)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exit codes and artifact flow of the command-line interface."""
 
+import csv
 import json
 import os
 import shutil
@@ -11,7 +12,9 @@ import pytest
 
 from lidkit.cli import main
 from lidkit.detector import load_feature_matrix
+from lidkit.harness.config import ExperimentConfig, load_config
 from lidkit.harness.data import load_csv
+from lidkit.harness.recipes import run_recipe
 from lidkit.harness.report import load_report
 
 _BASE = """
@@ -77,6 +80,47 @@ def test_full_workflow_through_the_cli(tmp_path, capsys):
     assert 0.0 <= evaluation["auc"] <= 1.0
     assert evaluation["feature_kind"] == "lid"
     assert evaluation["training_attack"] == "opt"
+
+
+@pytest.mark.filterwarnings("ignore:dropping zero-variance")
+def test_cli_stages_reproduce_the_recipes(tmp_path):
+    """The CLI runs on the recipes' pipeline: its detector scores table1's
+    (opt, lid) cell bit for bit, and it attacks table5's rows."""
+    out = str(tmp_path / "out")
+    cfg = _write_cfg(tmp_path, "base.cfg")
+    assert main(["gen-data", "--config", cfg, "--out", out]) == 0
+    assert main(["train-net", "--config", cfg, "--out", out]) == 0
+    with_net = _write_cfg(tmp_path, "net.cfg",
+                          f"network.path = {out}/network.net.json\n")
+    assert main(["attack", "--config", with_net, "--out", out]) == 0
+    assert main(["extract-features", "--config", with_net, "--out", out]) == 0
+    trained = _write_cfg(tmp_path, "train.cfg",
+                         f"io.features_csv = {out}/features_opt_lid.csv\n")
+    assert main(["train-detector", "--config", trained, "--out", out]) == 0
+    scored = _write_cfg(tmp_path, "score.cfg",
+                        f"io.features_csv = {out}/features_opt_lid_test.csv\n"
+                        f"io.model_path = {out}/detector.json\n")
+    assert main(["evaluate", "--config", scored, "--out", out]) == 0
+    evaluation = json.load(open(f"{out}/evaluation.json"))
+
+    def recipe(name):
+        return run_recipe(name, load_config(cfg, base=ExperimentConfig()),
+                          write=False)
+
+    table1 = recipe("table1")
+    cell, = [row for row in table1.tables["auc_by_attack_and_feature"]
+             if (row["attack"], row["feature_kind"]) == ("opt", "lid")]
+    assert evaluation["auc"] == cell["auc"]
+    assert evaluation["n_rows"] == cell["test_rows"]
+
+    with open(f"{out}/attack_opt.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    opt, = [row for row in recipe("table5").tables["perturbation_and_accuracy"]
+            if row["attack"] == "opt"]
+    assert len(rows) == opt["n"]
+    assert sum(int(r["success"]) for r in rows) == round(
+        opt["success_rate"] * opt["n"])
+    assert {int(r["id"]) for r in rows} <= set(table1.split["train_ids"])
 
 
 def test_tune_writes_the_selected_parameter(tmp_path):

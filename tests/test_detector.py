@@ -559,6 +559,14 @@ def test_sweep_serves_every_kind_and_checks_its_values(fgm_art):
         features_sweep(fgm_art, "kd", [4], [1.0, 0.0])
 
 
+def test_kinds_that_read_bu_need_a_bu_config(fgm_art):
+    for kind in ("bu", "kd_bu", "combined"):
+        with pytest.raises(ValueError, match="needs a BuConfig"):
+            features_from(fgm_art, kind, 9)
+        with pytest.raises(ValueError, match="needs a BuConfig"):
+            features_sweep(fgm_art, kind, [3, 9])
+
+
 def test_zero_distance_without_exclusion_is_degenerate(moons_net,
                                                        moons_batch):
     art = prepare_batch(moons_net, moons_batch,

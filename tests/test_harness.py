@@ -326,6 +326,22 @@ def test_recipe_wraps_stage_failures():
         run_recipe("fig2", cfg, write=False)
 
 
+@pytest.mark.parametrize("recipe", ["table1", "table2"])
+@pytest.mark.parametrize("layers", ["dense:8,relu,dense:2,softmax",
+                                    "dense:8,relu,dropout:0,dense:2,softmax"])
+def test_bu_without_dropout_fails_before_any_attack(monkeypatch, recipe,
+                                                    layers):
+    # without a dropout rate every stochastic pass agrees, so BU is 0 up to
+    # rounding
+    prepared = []
+    monkeypatch.setattr(detector, "prepare_batch",
+                        lambda *args, **kwargs: prepared.append(args))
+    cfg = _tiny_cfg(layers=layers, feature_kinds=("lid", "bu"))
+    with pytest.raises(ValueError, match="'bu' needs a dropout layer"):
+        run_recipe(recipe, cfg, write=False)
+    assert not prepared
+
+
 def test_table5_reports_attack_statistics(tmp_path):
     cfg = _tiny_cfg(out_dir=str(tmp_path / "t5"))
     report = run_recipe("table5", cfg)

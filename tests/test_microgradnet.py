@@ -5,8 +5,7 @@ import pytest
 
 from lidkit.errors import NumericOverflowError, ShapeError
 from lidkit.harness.config import parse_layers
-from lidkit.microgradnet import (CrossEntropy, CustomScalar, LayerSpec,
-                                 LogitMargin, Network, SgdConfig,
+from lidkit.microgradnet import (CrossEntropy, LayerSpec, Network, SgdConfig,
                                  activations_batch, backprop_to_input,
                                  forward_capture, from_json_dict,
                                  init_network, input_gradient, load_network,
@@ -166,49 +165,12 @@ def test_cross_entropy_gradient_linear_analytic():
                                expected, rtol=1e-13)
 
 
-def test_logit_margin_gradient_linear_analytic():
-    w = np.array([[1.0, -2.0], [0.5, 0.3], [-1.0, 0.8]])
-    net = _linear_net(w, np.zeros(3))
-    x = np.array([0.4, -0.1])
-    target = 0
-    z = w @ x
-    runner = 1 + int(np.argmax(z[1:]))
-    cot = np.zeros(3)
-    cot[target] = 1.0
-    cot[runner] = -1.0
-    np.testing.assert_allclose(input_gradient(net, x, LogitMargin(target)),
-                               w.T @ cot, rtol=1e-13)
-
-
-def test_custom_scalar_gradient_matches_finite_difference(blob_net):
-    def first_prob(probs):
-        g = np.zeros_like(probs)
-        g[0] = 1.0
-        return float(probs[0]), g
-
-    x = np.array([0.42, 0.58])
-    g = input_gradient(blob_net, x, CustomScalar(first_prob))
-    h = 1e-6
-    fd = np.empty(2)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        fd[i] = (forward_capture(blob_net, x + e).probs[0]
-                 - forward_capture(blob_net, x - e).probs[0]) / (2 * h)
-    np.testing.assert_allclose(g, fd, atol=1e-6)
-
-
 def test_gradient_objective_validation():
     net = _linear_net(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         input_gradient(net, [0.1, 0.2], CrossEntropy(5))
-    with pytest.raises(ValueError):
-        input_gradient(net, [0.1, 0.2], LogitMargin(-1))
     with pytest.raises(TypeError):
         input_gradient(net, [0.1, 0.2], "loss")
-    bad = CustomScalar(lambda p: (0.0, np.zeros(5)))
-    with pytest.raises(ShapeError):
-        input_gradient(net, [0.1, 0.2], bad)
 
 
 def test_gradient_raises_on_overflowing_forward():

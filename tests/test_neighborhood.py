@@ -11,7 +11,7 @@ from lidkit import neighborhood
 from lidkit.errors import DegenerateProfileError, ShapeError
 from lidkit.neighborhood import (DistanceProfile, Minibatch, distances_to,
                                  knn_profile, nearest_distances,
-                                 sample_minibatch, squared_distances)
+                                 squared_distances)
 
 
 # --------------------------------------------------------------------------
@@ -92,34 +92,6 @@ def test_distances_to_rejects_width_mismatch():
     refs = Minibatch(member_ids=(0,), vectors=np.ones((1, 3)))
     with pytest.raises(ShapeError):
         distances_to([1.0, 2.0], refs)
-
-
-def test_sample_minibatch_is_deterministic_and_bounded():
-    vectors = np.arange(20.0).reshape(10, 2)
-    a = sample_minibatch(vectors, 4, seed=9)
-    b = sample_minibatch(vectors, 4, seed=9)
-    assert a.member_ids == b.member_ids
-    np.testing.assert_array_equal(a.vectors, b.vectors)
-    for mid, row in zip(a.member_ids, a.vectors):
-        np.testing.assert_array_equal(row, vectors[mid])
-    with pytest.raises(ValueError):
-        sample_minibatch(vectors, 0, seed=0)
-    with pytest.raises(ValueError):
-        sample_minibatch(vectors, 11, seed=0)
-
-
-def test_sample_minibatch_full_size_is_a_permutation():
-    vectors = np.arange(12.0).reshape(6, 2)
-    batch = sample_minibatch(vectors, 6, seed=3)
-    assert sorted(batch.member_ids) == list(range(6))
-
-
-def test_sample_minibatch_carries_external_ids():
-    vectors = np.arange(8.0).reshape(4, 2)
-    batch = sample_minibatch(vectors, 2, seed=1, member_ids=[40, 41, 42, 43])
-    assert set(batch.member_ids) <= {40, 41, 42, 43}
-    with pytest.raises(ValueError, match="align"):
-        sample_minibatch(vectors, 2, seed=1, member_ids=[1, 2])
 
 
 # --------------------------------------------------------------------------
