@@ -3,12 +3,14 @@
 Every subcommand reads the same flat config format (see the README for the
 key list); ``--seed``, ``--out``, and ``--workers`` override the config.
 The stages that touch data run on the recipes' pipeline: ``train-net``
-trains the network ``build_pipeline`` would, and ``attack`` and
-``extract-features`` attack the recipes' detector-training minibatches and
-held-out batch.  So ``train-detector`` on ``features_<attack>_<kind>.csv``
-and ``evaluate`` on ``features_<attack>_<kind>_test.csv`` give table1's AUC
-for that cell.  Exit codes: 0 success, 1 validation problem (bad flags, bad
-config, missing files), 2 runtime failure.
+trains the network ``build_pipeline`` would, ``attack`` attacks the recipes'
+detector-training minibatches, and ``extract-features`` attacks those and
+the held-out batch.  So ``train-detector`` on
+``features_<attack>_<kind>.csv`` and ``evaluate`` on
+``features_<attack>_<kind>_test.csv`` give table1's AUC for that cell.  A
+feature file's header records its kind, which ``train-detector`` fits and
+``feature.kinds`` must list.  Exit codes: 0 success, 1 validation problem
+(bad flags, bad config, missing files), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def _cmd_attack(cfg) -> int:
     pl = _pipeline_on_saved_net(cfg)
     out_dir = _out_dir(cfg)
     for kind in cfg.attacks:
-        train_arts, _ = recipes.artifacts_for(pl, kind)
+        train_arts = recipes.train_artifacts(pl, kind)
         ids = [i for art in train_arts for i in art.batch.member_ids]
         outcomes = [o for art in train_arts for o in art.outcomes]
         path = os.path.join(out_dir, f"attack_{kind}.csv")
@@ -136,6 +138,7 @@ def _cmd_attack(cfg) -> int:
 
 def _cmd_extract_features(cfg) -> int:
     pl = _pipeline_on_saved_net(cfg)
+    recipes.check_bu_has_dropout(pl)
     out_dir = _out_dir(cfg)
     attack_kind = cfg.attacks[0]
     train_fm, test_fm = recipes.combined_features(pl, attack_kind)
@@ -154,14 +157,17 @@ def _cmd_train_detector(cfg) -> int:
     if cfg.features_csv is None:
         raise ValueError("train-detector needs io.features_csv in the config")
     cfg.validate()
-    kind = cfg.feature_kinds[0]
-    fm = detector.load_feature_matrix(cfg.features_csv, kind)
+    fm = detector.load_feature_matrix(cfg.features_csv)
+    if fm.feature_kind not in cfg.feature_kinds:
+        raise ParseError(1, f"{cfg.features_csv} holds {fm.feature_kind} "
+                            f"features, which feature.kinds "
+                            f"({', '.join(cfg.feature_kinds)}) does not list")
     model = detector.train_detector(fm, epochs=cfg.detector_epochs,
                                     lr=cfg.detector_lr,
                                     training_attack=cfg.attacks[0])
     path = os.path.join(_out_dir(cfg), "detector.json")
     detector.save_detector(model, path)
-    print(f"trained on {len(fm)} rows ({kind}); wrote {path}")
+    print(f"trained on {len(fm)} rows ({fm.feature_kind}); wrote {path}")
     return 0
 
 

@@ -46,7 +46,7 @@ from .characteristics import BuConfig, KdConfig, lid_of_distances
 # scalar oracles, unused here; benchmark/child.py's traced run patches them here
 from .characteristics import kernel_density, mle_lid  # noqa: F401
 from .errors import (EmptyPositiveClassError, ExhaustedFeaturesError,
-                     NoDirectionError, ShapeError)
+                     NoDirectionError, ParseError, ShapeError)
 from .neighborhood import Minibatch, nearest_distances, squared_distances
 from .neighborhood import knn_profile  # noqa: F401  (see mle_lid above)
 
@@ -117,29 +117,47 @@ def select_kind(fm: FeatureMatrix, kind: str) -> FeatureMatrix:
 
 
 def save_feature_matrix(fm: FeatureMatrix, path) -> None:
-    """CSV with header feature_0..feature_{F-1}, label, provenance."""
+    """CSV with header <kind>_0..<kind>_{F-1}, label, provenance: the column
+    names record the feature kind."""
     width = fm.features.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"feature_{i}" for i in range(width)]
+        writer.writerow([f"{fm.feature_kind}_{i}" for i in range(width)]
                         + ["label", "provenance"])
         for row, lab, prov in zip(fm.features, fm.labels, fm.provenance):
             writer.writerow([repr(v) for v in row.tolist()] + [int(lab), prov])
 
 
-def load_feature_matrix(path, feature_kind: str) -> FeatureMatrix:
+def load_feature_matrix(path, feature_kind: str | None = None) -> FeatureMatrix:
+    """Read a matrix written by ``save_feature_matrix``.
+
+    The kind is the one its header records; ``feature_kind``, if given, must
+    agree with it (ParseError otherwise).  A header of ``feature_<i>``
+    columns records no kind, and then ``feature_kind`` is required.
+    """
     rows, labels, provenance = [], [], []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         width = len(header) - 2
+        kinds = {name.rpartition("_")[0] for name in header[:width]}
+        recorded = kinds.pop() if len(kinds) == 1 else None
+        if recorded not in FEATURE_KINDS + ("feature",):
+            raise ParseError(1, f"{path}: feature columns name no one kind")
+        if recorded == "feature":
+            if feature_kind is None:
+                raise ParseError(1, f"{path} records no feature kind; "
+                                    f"pass one")
+        elif feature_kind not in (None, recorded):
+            raise ParseError(1, f"{path} holds {recorded} features, not "
+                                f"{feature_kind}")
         for record in reader:
             rows.append([float(v) for v in record[:width]])
             labels.append(int(record[width]))
             provenance.append(record[width + 1])
     return FeatureMatrix(features=np.array(rows, dtype=float),
                          labels=np.array(labels), provenance=tuple(provenance),
-                         feature_kind=feature_kind)
+                         feature_kind=feature_kind or recorded)
 
 
 # --------------------------------------------------------------------------

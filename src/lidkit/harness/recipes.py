@@ -11,13 +11,13 @@ training or scaler fitting; the id sets are checked disjoint and recorded.
 from __future__ import annotations
 
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import detector as det
 from .. import microgradnet
-from ..attacks import ATTACK_KINDS
+from ..attacks import ATTACK_KINDS, run_attack
 from ..characteristics import BuConfig, KdConfig, minmax_normalize
 from ..detector import FeatureMatrix
 from ..errors import DegenerateProfileError, LidkitError, ParseError
@@ -171,33 +171,38 @@ def batch_artifacts(pl: Pipeline, attack_kind: str, index: int | None):
     return pl.artifacts[key]
 
 
+def train_artifacts(pl: Pipeline, attack_kind: str) -> list:
+    """Prepared attack artifacts of every train batch, for one kind."""
+    return [batch_artifacts(pl, attack_kind, bi)
+            for bi in range(len(pl.train_batches))]
+
+
 def artifacts_for(pl: Pipeline, attack_kind: str):
     """Prepared (train list, test) attack artifacts for one kind."""
-    train = [batch_artifacts(pl, attack_kind, bi)
-             for bi in range(len(pl.train_batches))]
-    return train, batch_artifacts(pl, attack_kind, None)
+    return (train_artifacts(pl, attack_kind),
+            batch_artifacts(pl, attack_kind, None))
 
 
 def _bu_config(cfg: ExperimentConfig) -> BuConfig:
     return BuConfig(num_runs=cfg.bu_runs, base_seed=(cfg.seed + 2) * 1_000_003)
 
 
-def combined_features(pl: Pipeline, attack_kind: str):
-    """(train, test) combined-kind FeatureMatrix pair for one attack.
+def combined_train_features(pl: Pipeline, attack_kind: str) -> FeatureMatrix:
+    """The train batches' combined-kind FeatureMatrix for one attack.
 
     A degenerate neighborhood in a training batch (an exact activation
     collision) is handled by resampling that batch once from the
     detector-train pool; a second failure propagates.
     """
-    if attack_kind in pl.features:
-        return pl.features[attack_kind]
+    key = (attack_kind, "train")
+    if key in pl.features:
+        return pl.features[key]
     cfg = pl.cfg
     kd_cfg = KdConfig(bandwidth_sigma=cfg.sigma)
     bu_cfg = _bu_config(cfg)
-    train_arts, test_art = artifacts_for(pl, attack_kind)
     acfg = cfg.attack_config(attack_kind)
     mats = []
-    for bi, art in enumerate(train_arts):
+    for bi, art in enumerate(train_artifacts(pl, attack_kind)):
         try:
             mats.append(det.features_from(art, "combined", cfg.k, kd=kd_cfg,
                                           bu=bu_cfg))
@@ -217,15 +222,29 @@ def combined_features(pl: Pipeline, attack_kind: str):
             pl.artifacts[(attack_kind, bi)] = art
             mats.append(det.features_from(art, "combined", cfg.k, kd=kd_cfg,
                                           bu=bu_cfg))
-    train_fm = FeatureMatrix(
+    pl.features[key] = FeatureMatrix(
         features=np.vstack([m.features for m in mats]),
         labels=np.concatenate([m.labels for m in mats]),
         provenance=tuple(p for m in mats for p in m.provenance),
         feature_kind="combined")
-    test_fm = det.features_from(test_art, "combined", cfg.k, kd=kd_cfg,
-                                bu=bu_cfg, reference=pl.reference)
-    pl.features[attack_kind] = (train_fm, test_fm)
-    return pl.features[attack_kind]
+    return pl.features[key]
+
+
+def combined_features(pl: Pipeline, attack_kind: str):
+    """(train, test) combined-kind FeatureMatrix pair for one attack; the
+    test batch is scored against ``pl.reference``."""
+    key = (attack_kind, "test")
+    if key not in pl.features:
+        # attack the test batch before the train features can resample a
+        # batch, so the notes keep their order: attacks, then resamples
+        _, test_art = artifacts_for(pl, attack_kind)
+        combined_train_features(pl, attack_kind)
+        cfg = pl.cfg
+        pl.features[key] = det.features_from(
+            test_art, "combined", cfg.k,
+            kd=KdConfig(bandwidth_sigma=cfg.sigma), bu=_bu_config(cfg),
+            reference=pl.reference)
+    return (pl.features[(attack_kind, "train")], pl.features[key])
 
 
 def _fit(pl: Pipeline, matrices: list, attack_kind: str) -> list:
@@ -247,7 +266,7 @@ def _fit(pl: Pipeline, matrices: list, attack_kind: str) -> list:
 # individual recipes
 
 
-def _check_bu_has_dropout(pl: Pipeline) -> None:
+def check_bu_has_dropout(pl: Pipeline) -> None:
     """Reject the bu kind before any attack runs if the network has no
     dropout layer with a positive rate: every stochastic pass then gives the
     same output, so BU is 0 up to rounding and carries no signal."""
@@ -259,7 +278,7 @@ def _check_bu_has_dropout(pl: Pipeline) -> None:
 
 
 def _recipe_table1(pl: Pipeline, report: ExperimentReport) -> None:
-    _check_bu_has_dropout(pl)
+    check_bu_has_dropout(pl)
     rows = []
     for attack_kind in pl.cfg.attacks:
         train_fm, test_fm = combined_features(pl, attack_kind)
@@ -279,7 +298,7 @@ def _recipe_table1(pl: Pipeline, report: ExperimentReport) -> None:
 
 
 def _recipe_table2(pl: Pipeline, report: ExperimentReport) -> None:
-    _check_bu_has_dropout(pl)
+    check_bu_has_dropout(pl)
     source_attack = "fgm" if "fgm" in pl.cfg.attacks else pl.cfg.attacks[0]
     if source_attack != "fgm":
         report.notes.append(f"fgm not configured; transfer source is "
@@ -305,7 +324,7 @@ def _recipe_table2(pl: Pipeline, report: ExperimentReport) -> None:
 def _recipe_table5(pl: Pipeline, report: ExperimentReport) -> None:
     rows = []
     for attack_kind in pl.cfg.attacks:
-        train_arts, _ = artifacts_for(pl, attack_kind)
+        train_arts = train_artifacts(pl, attack_kind)
         outcomes = [o for art in train_arts for o in art.outcomes]
         labels = np.concatenate([art.labels for art in train_arts])
         adv_preds = np.concatenate([art.preds["adversarial"]
@@ -433,8 +452,7 @@ def _recipe_fig4(pl: Pipeline, report: ExperimentReport) -> None:
 def _recipe_table4(pl: Pipeline, report: ExperimentReport) -> None:
     cfg = pl.cfg
     base_attack = "opt"
-    train_fm, _ = combined_features(pl, base_attack)
-    tr_lid = det.select_kind(train_fm, "lid")
+    tr_lid = det.select_kind(combined_train_features(pl, base_attack), "lid")
     pre_softmax = pl.net.depth - 2
     tr_pre = FeatureMatrix(features=tr_lid.features[:, [pre_softmax]],
                            labels=tr_lid.labels,
@@ -453,8 +471,12 @@ def _recipe_table4(pl: Pipeline, report: ExperimentReport) -> None:
                                        input_labels, pl.reference, acfg,
                                        k=cfg.k)
 
-    # plain-opt baseline on the same inputs, scored by the same detectors
-    opt_outcomes = batch_artifacts(pl, base_attack, None).outcomes[:n_inputs]
+    # plain-opt baseline on the same inputs, scored by the same detectors;
+    # input j seeds its attack at seed + j, as row j of the test batch would
+    ocfg = cfg.attack_config(base_attack)
+    opt_outcomes = [
+        run_attack(pl.net, x, int(label), replace(ocfg, seed=ocfg.seed + j))
+        for j, (x, label) in enumerate(zip(inputs, input_labels))]
     plain = [det.score_outcome(pl.net, detectors, out, pl.reference, cfg.k)[1]
              for out in opt_outcomes]
     report.tables["adaptive_failure_rates"] = [

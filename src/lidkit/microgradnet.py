@@ -177,13 +177,36 @@ def _forward_rows(net: Network, x: np.ndarray, masks=None) -> list:
     return acts
 
 
-def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
+def forward_row(net: Network, x: np.ndarray, masks=None) -> list:
+    """Every activation level of one row ``x`` of shape (in_dim,), as 1-D views.
+
+    The arithmetic is ``_forward_rows(net, x[None, :], masks)`` exactly: each
+    dense layer is a (1, d) matmul, because a 1-D ``W @ x`` may round
+    differently.  No validation, so callers on a hot path pay only for the
+    pass itself.
+    """
+    return [a[0] for a in _forward_rows(net, x[None, :], masks)]
+
+
+def as_row(net: Network, x) -> np.ndarray:
+    """``x`` as one float input row, or ShapeError unless it is (in_dim,)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != net.input_dim:
         raise ShapeError(
             f"expected input of shape ({net.input_dim},), got {x.shape}"
         )
     return x
+
+
+def _masks_for(net: Network, mode: str, seed: int | None):
+    """Dropout masks for ``mode``: None (deterministic) or one draw per seed."""
+    if mode == "stochastic":
+        if seed is None:
+            raise ValueError("stochastic mode requires a seed")
+        return _dropout_masks(net, seed)
+    if mode != "deterministic":
+        raise ValueError(f"unknown mode {mode!r}")
+    return None
 
 
 def forward_capture(net: Network, x, mode: str = "deterministic",
@@ -194,8 +217,8 @@ def forward_capture(net: Network, x, mode: str = "deterministic",
     and draws dropout masks per the module-level contract.  Ties in the
     predicted class go to the lowest class index.
     """
-    rows = activations_batch(net, _check_input(net, x)[None, :], mode, seed)
-    per_layer = tuple(r[0] for r in rows)
+    x = as_row(net, x)
+    per_layer = tuple(forward_row(net, x, _masks_for(net, mode, seed)))
     probs = per_layer[-1]
     return ActivationStack(per_layer=per_layer,
                            predicted_class=int(np.argmax(probs)),
@@ -216,19 +239,11 @@ def activations_batch(net: Network, xs: np.ndarray, mode: str = "deterministic",
         raise ShapeError(
             f"expected batch of shape (n, {net.input_dim}), got {xs.shape}"
         )
-    if mode == "stochastic":
-        if seed is None:
-            raise ValueError("stochastic mode requires a seed")
-        masks = _dropout_masks(net, seed)
-    elif mode == "deterministic":
-        masks = None
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _forward_rows(net, xs, masks)
+    return _forward_rows(net, xs, _masks_for(net, mode, seed))
 
 
 def predict(net: Network, x) -> int:
-    return forward_capture(net, x).predicted_class
+    return int(np.argmax(forward_row(net, as_row(net, x))[-1]))
 
 
 def predict_batch(net: Network, xs: np.ndarray) -> np.ndarray:
@@ -252,6 +267,15 @@ def _layer_vjp(net: Network, index: int, per_layer, g: np.ndarray) -> np.ndarray
     return p * (g - np.dot(g, p))
 
 
+def backprop_row(net: Network, levels, index: int,
+                 cotangent: np.ndarray) -> np.ndarray:
+    """``backprop_to_input`` without its checks, for ``forward_row`` levels."""
+    g = cotangent
+    for li in range(index - 1, -1, -1):
+        g = _layer_vjp(net, li, levels, g)
+    return g
+
+
 def backprop_to_input(net: Network, per_layer, index: int,
                       cotangent: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the input of a scalar whose cotangent sits at level ``index``.
@@ -263,9 +287,18 @@ def backprop_to_input(net: Network, per_layer, index: int,
     g = np.asarray(cotangent, dtype=float)
     if g.shape != per_layer[index].shape:
         raise ShapeError("cotangent shape does not match the activation level")
-    for li in range(index - 1, -1, -1):
-        g = _layer_vjp(net, li, per_layer, g)
-    return g
+    return backprop_row(net, per_layer, index, g)
+
+
+def cross_entropy_gradient(net: Network, levels, label: int) -> np.ndarray:
+    """``input_gradient``'s arithmetic at ``forward_row`` levels already
+    computed: CrossEntropy(label) pulled back from the logits.  Raises
+    NumericOverflowError if any level is non-finite."""
+    if not np.isfinite(np.concatenate(levels)).all():
+        raise NumericOverflowError("forward pass produced non-finite values")
+    cot = levels[-1].copy()
+    cot[label] -= 1.0
+    return backprop_row(net, levels, net.depth - 2, cot)
 
 
 def input_gradient(net: Network, x, objective) -> np.ndarray:
@@ -279,27 +312,24 @@ def input_gradient(net: Network, x, objective) -> np.ndarray:
         raise TypeError(f"unknown objective {objective!r}")
     if not 0 <= objective.label < net.output_dim:
         raise ValueError("label out of range")
-    x = _check_input(net, x)
-    per_layer = tuple(r[0] for r in _forward_rows(net, x[None, :]))
-    for a in per_layer:
-        if not np.all(np.isfinite(a)):
-            raise NumericOverflowError("forward pass produced non-finite values")
-    cot = per_layer[-1].copy()
-    cot[objective.label] -= 1.0
-    return backprop_to_input(net, per_layer, net.depth - 2, cot)
+    levels = forward_row(net, as_row(net, x))
+    return cross_entropy_gradient(net, levels, objective.label)
 
 
 def logit_jacobian(net: Network, x) -> np.ndarray:
     """Jacobian of the pre-softmax logits w.r.t. the input, shape (C, in_dim)."""
-    x = _check_input(net, x)
-    per_layer = tuple(r[0] for r in _forward_rows(net, x[None, :]))
-    logits_index = net.depth - 2
+    levels = forward_row(net, as_row(net, x))
+    return logit_jacobian_at(net, levels)
+
+
+def logit_jacobian_at(net: Network, levels) -> np.ndarray:
+    """``logit_jacobian`` at ``forward_row`` levels: one VJP per class."""
     n_class = net.output_dim
     rows = np.empty((n_class, net.input_dim))
     for c in range(n_class):
         cot = np.zeros(n_class)
         cot[c] = 1.0
-        rows[c] = backprop_to_input(net, per_layer, logits_index, cot)
+        rows[c] = backprop_row(net, levels, net.depth - 2, cot)
     return rows
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lidkit.attacks import (ATTACK_KINDS, AttackConfig, AttackOutcome,
-                            _best_pair, adaptive_opt_lid, bim_a, bim_b, fgm,
+                            _best_pair, _lid_value_and_cotangent,
+                            adaptive_opt_lid, bim_a, bim_b, fgm,
                             gaussian_l2_noise, jsma,
                             minmax_pixel_noise, opt_l2, run_attack,
                             save_attack_outcomes)
@@ -227,6 +228,29 @@ def test_detector_aware_attack_with_collapsed_weight_range(blob_net,
     # a collapsed range runs exactly one optimizer search
     assert out.iterations_used == cfg.max_iters * cfg.opt_binary_search_steps
     assert np.all(out.adversarial >= 0.0) and np.all(out.adversarial <= 1.0)
+
+
+def test_lid_cotangent_matches_central_differences():
+    """d(lid)/da with the k-nearest membership frozen, as the adaptive
+    attack uses it; steps of 1e-6 leave the membership unchanged here."""
+    rng = np.random.default_rng(12)
+    for d, n, k in ((3, 25, 5), (8, 40, 12), (2, 30, 29)):
+        refs = rng.standard_normal((n, d))
+        a = rng.standard_normal(d) * 0.5
+        lid, cot = _lid_value_and_cotangent(a, refs, k)
+        assert lid > 0.0
+        h = 1e-6
+        numeric = np.empty(d)
+        for i in range(d):
+            e = np.zeros(d)
+            e[i] = h
+            up, _ = _lid_value_and_cotangent(a + e, refs, k)
+            down, _ = _lid_value_and_cotangent(a - e, refs, k)
+            numeric[i] = (up - down) / (2 * h)
+        np.testing.assert_allclose(cot, numeric, rtol=1e-5,
+                                   atol=1e-7 * np.abs(numeric).max())
+    # a reference at distance zero leaves the penalty unevaluable
+    assert _lid_value_and_cotangent(refs[3], refs, 5) == (None, None)
 
 
 def test_run_attack_dispatches_every_kind(moons_net, moons_data,

@@ -123,6 +123,56 @@ def test_cli_stages_reproduce_the_recipes(tmp_path):
     assert {int(r["id"]) for r in rows} <= set(table1.split["train_ids"])
 
 
+_QUICK_START = """\
+dataset.name = gaussian_blobs
+dataset.param.dim = 2
+dataset.n_train = 500
+dataset.n_test = 200
+network.layers = dense:16,relu,dense:2,softmax
+batch.size = 50
+feature.k = 10
+attack.list = opt, fgm
+"""
+
+
+def test_feature_files_carry_their_kind_at_the_quick_start_config(
+        tmp_path, capsys):
+    """The README quick start's network has no dropout: extract-features
+    refuses the bu kind, and train-detector fits the kind a file holds."""
+    out = str(tmp_path / "out")
+    path = tmp_path / "exp.cfg"
+    path.write_text(_QUICK_START)
+    cfg = str(path)
+
+    def run(command, extra=""):
+        path.write_text(_QUICK_START + f"network.path = {out}/network.net.json\n"
+                        + extra)
+        return main([command, "--config", cfg, "--out", out])
+
+    assert main(["gen-data", "--config", cfg, "--out", out]) == 0
+    assert main(["train-net", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    # the default kinds include bu: refused before any file is written
+    assert run("extract-features") == 1
+    assert "dropout" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("features_*"))
+
+    assert run("extract-features", "feature.kinds = lid, kd\n") == 0
+    kd_file = f"{out}/features_opt_kd.csv"
+    assert load_feature_matrix(kd_file).feature_kind == "kd"
+    assert run("train-detector", f"feature.kinds = lid, kd\n"
+                                 f"io.features_csv = {kd_file}\n") == 0
+    assert "(kd)" in capsys.readouterr().out
+    assert json.load(open(f"{out}/detector.json"))["feature_kind"] == "kd"
+    # a kind the config does not list, and a model of another kind
+    assert run("train-detector", f"feature.kinds = lid\n"
+                                 f"io.features_csv = {kd_file}\n") == 1
+    assert "holds kd features" in capsys.readouterr().err
+    assert run("evaluate", f"io.features_csv = {out}/features_opt_lid_test.csv\n"
+                           f"io.model_path = {out}/detector.json\n") == 1
+    assert "holds lid features, not kd" in capsys.readouterr().err
+
+
 def test_tune_writes_the_selected_parameter(tmp_path):
     out = str(tmp_path / "out")
     cfg = _write_cfg(tmp_path, "tune.cfg",

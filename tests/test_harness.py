@@ -10,6 +10,7 @@ from lidkit.harness.config import (ExperimentConfig, default_layers,
                                    parse_layers)
 from lidkit.harness.data import (GENERATOR_NAMES, Dataset, gen_synthetic,
                                  load_csv, save_csv)
+from lidkit.harness import recipes
 from lidkit.harness.recipes import (RECIPE_NAMES, build_pipeline,
                                     check_split_hygiene, run_recipe)
 from lidkit.harness.report import ExperimentReport, load_report, save_report
@@ -381,6 +382,33 @@ def test_fig4_attacks_only_its_queries_and_the_test_batch(monkeypatch):
     fig4 = run_recipe("fig4", _tiny_cfg(n_test=150), write=False)
     assert not any("zero input gradient" in n for n in fig4.notes)
     assert len(attacked) == pl.cfg.fig4_queries + len(pl.test_batch)
+
+
+def test_table4_and_table5_attack_only_the_rows_they_read(monkeypatch):
+    cfg = dict(attacks=("fgm",), table4_inputs=3,
+               attack_overrides={"*": {"max_iters": 20,
+                                       "opt_binary_search_steps": 3,
+                                       "opt_c_min": 10.0}})
+    pl = build_pipeline(_tiny_cfg(**cfg))
+    train_rows = sorted(x.tobytes() for b in pl.train_batches
+                        for x in b.vectors)
+    attacked = []
+
+    def tally(real):
+        def run_attack(net, x, label, acfg, refs=None):
+            attacked.append((acfg.kind, x.tobytes()))
+            return real(net, x, label, acfg, refs=refs)
+        return run_attack
+
+    monkeypatch.setattr(detector, "run_attack", tally(detector.run_attack))
+    monkeypatch.setattr(recipes, "run_attack", tally(recipes.run_attack))
+    run_recipe("table5", _tiny_cfg(**cfg), write=False)
+    assert sorted(x for _, x in attacked) == train_rows
+    attacked.clear()
+    run_recipe("table4", _tiny_cfg(**cfg), write=False)
+    opt_rows = [x for kind, x in attacked if kind == "opt"]
+    assert len(opt_rows) == len(train_rows) + 3
+    assert opt_rows[-3:] == [x.tobytes() for x in pl.test_batch.vectors[:3]]
 
 
 def test_sweeps_compute_one_distance_matrix_per_source_and_level(monkeypatch):
