@@ -132,8 +132,8 @@ def load_feature_matrix(path, feature_kind: str | None = None) -> FeatureMatrix:
     """Read a matrix written by ``save_feature_matrix``.
 
     The kind is the one its header records; ``feature_kind``, if given, must
-    agree with it (ParseError otherwise).  A header of ``feature_<i>``
-    columns records no kind, and then ``feature_kind`` is required.
+    agree with it.  Raises ParseError otherwise, or if the header names no
+    one kind.
     """
     rows, labels, provenance = [], [], []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -142,13 +142,10 @@ def load_feature_matrix(path, feature_kind: str | None = None) -> FeatureMatrix:
         width = len(header) - 2
         kinds = {name.rpartition("_")[0] for name in header[:width]}
         recorded = kinds.pop() if len(kinds) == 1 else None
-        if recorded not in FEATURE_KINDS + ("feature",):
-            raise ParseError(1, f"{path}: feature columns name no one kind")
-        if recorded == "feature":
-            if feature_kind is None:
-                raise ParseError(1, f"{path} records no feature kind; "
-                                    f"pass one")
-        elif feature_kind not in (None, recorded):
+        if recorded not in FEATURE_KINDS:
+            raise ParseError(1, f"{path}: the feature columns name no one "
+                                f"feature kind")
+        if feature_kind not in (None, recorded):
             raise ParseError(1, f"{path} holds {recorded} features, not "
                                 f"{feature_kind}")
         for record in reader:
@@ -157,7 +154,7 @@ def load_feature_matrix(path, feature_kind: str | None = None) -> FeatureMatrix:
             provenance.append(record[width + 1])
     return FeatureMatrix(features=np.array(rows, dtype=float),
                          labels=np.array(labels), provenance=tuple(provenance),
-                         feature_kind=feature_kind or recorded)
+                         feature_kind=recorded)
 
 
 # --------------------------------------------------------------------------

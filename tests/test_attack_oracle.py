@@ -233,15 +233,15 @@ _SMALL = dict(max_iters=12, opt_binary_search_steps=3, adaptive_k=6,
 def test_every_kind_matches_the_reference_bit_for_bit(three_class, variant):
     net, xs, refs = three_class
     labels = predict_batch(net, xs)
-    kinds_seen = set()
+    successes = 0
     for j in range(8):
         for kind in ATTACK_KINDS:
             cfg = AttackConfig(kind=kind, epsilon=0.4, **{**_SMALL, **variant})
             cfg = replace(cfg, seed=cfg.seed + j)
             expected, got = _both(net, xs[j], int(labels[j]), cfg, refs)
             assert got == expected, (kind, j)
-            kinds_seen.add((kind, got[0]))
-    assert {kind for kind, _ in kinds_seen} == set(ATTACK_KINDS)
+            successes += got[0] == "outcome" and got[2]
+    assert 0 < successes < 8 * len(ATTACK_KINDS)  # both kinds of outcome
 
 
 def test_two_class_opt_and_bim_match_the_reference(moons_net, moons_holdout):

@@ -20,7 +20,7 @@ from lidkit.detector import (FEATURE_KINDS, FeatureMatrix, _cv_auc,
                              select_kind, train_detector, train_detectors,
                              transfer_evaluate, tune_parameter)
 from lidkit.errors import (DegenerateProfileError, EmptyPositiveClassError,
-                           ShapeError)
+                           ParseError, ShapeError)
 from lidkit.microgradnet import (LayerSpec, Network, activations_batch,
                                  forward_capture, predict_batch)
 from lidkit.neighborhood import Minibatch, distances_to, knn_profile
@@ -101,6 +101,16 @@ def test_feature_matrix_round_trips_through_csv(tmp_path):
     np.testing.assert_array_equal(loaded.features, fm.features)
     np.testing.assert_array_equal(loaded.labels, fm.labels)
     assert loaded.provenance == fm.provenance
+    # the header records the kind, which the loader reads back or checks
+    save_feature_matrix(_fm(fm.features[:, :2], fm.labels, fm.provenance,
+                            "kd_bu"), path)
+    assert path.read_text().startswith("kd_bu_0,kd_bu_1,label,provenance")
+    assert load_feature_matrix(path).feature_kind == "kd_bu"
+    with pytest.raises(ParseError, match="holds kd_bu features, not kd"):
+        load_feature_matrix(path, "kd")
+    path.write_text("feature_0,label,provenance\n0.5,0,normal\n")
+    with pytest.raises(ParseError, match="no one feature kind"):
+        load_feature_matrix(path, "lid")
 
 
 # --------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import pytest
 
 from lidkit import detector
 from lidkit.errors import NoDirectionError, ParseError, ShapeError
+from lidkit.harness import recipes
 from lidkit.harness.config import (ExperimentConfig, default_layers,
                                    load_config, parse_config_text,
                                    parse_layers)
 from lidkit.harness.data import (GENERATOR_NAMES, Dataset, gen_synthetic,
                                  load_csv, save_csv)
-from lidkit.harness import recipes
 from lidkit.harness.recipes import (RECIPE_NAMES, build_pipeline,
                                     check_split_hygiene, run_recipe)
 from lidkit.harness.report import ExperimentReport, load_report, save_report
