@@ -195,7 +195,7 @@ def _cmd_tune(cfg) -> int:
     result = detector.tune_parameter(
         pl.net, pl.train_batches, grid, cfg.tune_target,
         [cfg.attack_config(a) for a in cfg.attacks], folds=cfg.folds,
-        seed=cfg.seed + 5)
+        seed=cfg.seed + 5, epochs=cfg.detector_epochs, lr=cfg.detector_lr)
     out_dir = _out_dir(cfg)
     path = os.path.join(out_dir, "tuning.json")
     with open(path, "w", encoding="utf-8") as fh:

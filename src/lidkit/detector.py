@@ -22,11 +22,13 @@ distance matrix per (source, level) and serves every swept value from it;
 ``features_from`` is a sweep of one value, and ``extract_features`` composes
 ``prepare_batch`` with it.
 
-Detectors are logistic regressions fitted by full-batch gradient descent.
-``train_detectors`` fits a list of matrices: fits that share a row count and
-a kept width run as one stacked descent, in which each fit stops on its own
-and is bitwise equal to fitting it alone.  ``train_detector`` is a list of
-one, and ``tune_parameter`` fits each fold's whole grid in one call.
+Detectors are L2-penalised logistic regressions, as scikit-learn's
+``LogisticRegression`` with its default C = 1, fitted to convergence by
+Newton's method (IRLS).  ``train_detectors`` fits a list of matrices: fits
+that share a row count and a kept width run as one stacked Newton iteration,
+in which each fit stops on its own and is bitwise equal to fitting it alone.
+``train_detector`` is a list of one, and ``tune_parameter`` fits each fold's
+whole grid in one call.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ from .attacks import (AttackConfig, AttackOutcome, gaussian_l2_noise,
 from .characteristics import BuConfig, KdConfig, lid_of_distances
 # scalar oracles, unused here; benchmark/child.py's traced run patches them here
 from .characteristics import kernel_density, mle_lid  # noqa: F401
-from .errors import (EmptyPositiveClassError, ExhaustedFeaturesError,
-                     NoDirectionError, ParseError, ShapeError)
+from .errors import (ConvergenceWarning, EmptyPositiveClassError,
+                     ExhaustedFeaturesError, NoDirectionError, ParseError,
+                     ShapeError)
 from .neighborhood import Minibatch, nearest_distances, squared_distances
 from .neighborhood import knn_profile  # noqa: F401  (see mle_lid above)
 
 FEATURE_KINDS = ("lid", "kd", "bu", "kd_bu", "combined")
+BU_KINDS = ("bu", "kd_bu", "combined")  # the kinds that read the BU column
 SOURCES = ("normal", "noisy", "adversarial")
 
 
@@ -348,7 +352,7 @@ def features_sweep(art: BatchArtifacts, feature_kind: str, ks,
         raise ValueError("sweep k or sigma, not both")
     need_lid = feature_kind in ("lid", "combined")
     need_kd = feature_kind in ("kd", "kd_bu", "combined")
-    need_bu = feature_kind in ("bu", "kd_bu", "combined")
+    need_bu = feature_kind in BU_KINDS
     if need_lid and min(ks) < 1:
         raise ValueError(f"k must be at least 1, got {min(ks)}")
     if need_bu and bu is None:
@@ -468,67 +472,86 @@ def _standardize(features: FeatureMatrix):
     return z, mean[kept], std[kept], kept
 
 
-def _descend(z: np.ndarray, y: np.ndarray, epochs: int, lr: float):
-    """(W, B) of P logistic fits on ``z`` (P, n, D) and ``y`` (P, n), run as
-    one stacked full-batch gradient descent from zero.
+# the L2 penalty on the weights (not the intercept): scikit-learn's C = 1
+PENALTY = 1.0
+# a fit has converged once its largest undamped Newton step is below this
+STEP_TOL = 1e-10
 
-    Each fit stops on its own when its loss decrease falls below 1e-8, and
-    then leaves the stack.  The stacked ``np.matmul`` calls BLAS once per
+
+def _descend(z: np.ndarray, y: np.ndarray, epochs: int, lr: float):
+    """(W, B, converged) of P penalised logistic fits on ``z`` (P, n, D) and
+    ``y`` (P, n), run as one stacked Newton (IRLS) iteration from zero.
+
+    Each fit minimises the summed log-loss plus ``PENALTY / 2 * |w|^2``, the
+    intercept unpenalised.  An iteration computes the gradient and Hessian
+    on the design augmented with a column of ones, solves for the Newton
+    step and takes ``lr`` of it.  A fit whose largest undamped step is below
+    ``STEP_TOL`` has converged, and leaves the stack after that step; one
+    still in it after ``epochs`` iterations has not.  The stacked
+    ``np.matmul`` and ``np.linalg.solve`` make one BLAS or LAPACK call per
     slice with that slice's shape and strides, and every other step is
-    elementwise or a per-row reduction, so each fit is bitwise equal to
-    descending on it alone.
+    elementwise or per slice, so each fit is bitwise equal to fitting it
+    alone.
     """
     fits, n, width = z.shape
-    W = np.zeros((fits, width))
-    B = np.zeros(fits)
+    x = np.concatenate([z, np.ones((fits, n, 1))], axis=2)
+    done = np.zeros((fits, width + 1))
+    converged = np.zeros(fits, dtype=bool)
     live = np.arange(fits)
-    w, b = W.copy(), B.copy()
-    prev_loss = np.full(fits, np.inf)
-    positive = y == 1
+    beta = done.copy()
+    weights = np.arange(width)  # penalised; the intercept, last, is not
     for _ in range(epochs):
-        p = _sigmoid(np.matmul(z, w[:, :, None])[:, :, 0] + b[:, None])
-        # the cross-entropy y*log(p+eps) + (1-y)*log(1-p+eps) with one log:
-        # with 0/1 labels the other term is a signed zero, and adding it
-        # changes no bit
-        loss = -np.log(np.where(positive, p, 1 - p) + 1e-12).mean(axis=1)
-        stop = prev_loss - loss < 1e-8
+        p = _sigmoid(np.matmul(x, beta[:, :, None])[:, :, 0])
+        xt = x.transpose(0, 2, 1)
+        grad = np.matmul(xt, (p - y)[:, :, None])
+        grad[:, weights, 0] += PENALTY * beta[:, weights]
+        hess = np.matmul(xt, x * (p * (1.0 - p))[:, :, None])
+        hess[:, weights, weights] += PENALTY
+        step = np.linalg.solve(hess, grad)[:, :, 0]
+        beta -= lr * step
+        stop = np.abs(step).max(axis=1) < STEP_TOL
         if stop.any():
-            W[live[stop]], B[live[stop]] = w[stop], b[stop]
+            done[live[stop]] = beta[stop]
+            converged[live[stop]] = True
             go = ~stop
-            live, z, y, positive, p, w, b, loss = (
-                live[go], z[go], y[go], positive[go], p[go], w[go], b[go],
-                loss[go])
+            live, x, y, beta = live[go], x[go], y[go], beta[go]
             if not live.size:
                 break
-        prev_loss = loss
-        g = p - y
-        w -= lr * np.matmul(z.transpose(0, 2, 1), g[:, :, None])[:, :, 0] / n
-        b -= lr * g.mean(axis=1)
-    W[live], B[live] = w, b
-    return W, B
+    done[live] = beta
+    return done[:, :width], done[:, width], converged
 
 
-def train_detectors(matrices, *, epochs: int = 5000, lr: float = 0.1,
+def train_detectors(matrices, *, epochs: int = 5000, lr: float = 1.0,
                     training_attack: str = "unknown") -> list:
     """Fit one logistic regression per FeatureMatrix, returned in input order.
 
     Features are standardized to zero mean and unit variance; zero-variance
-    columns are dropped with a warning and recorded.  Descent starts from
-    zero weights and stops when the loss decrease falls below 1e-8 or the
-    epoch cap is hit.  Fits that share a row count and a kept width run as
-    one stacked descent, and each is bitwise equal to fitting it alone.
+    columns are dropped with a warning and recorded.  Each fit minimises the
+    log-loss plus an L2 penalty on the weights (``_descend``) by Newton
+    steps from zero: ``epochs`` caps the iterations (0 leaves the zero
+    model) and ``lr`` in (0, 1] damps each step.  A fit still short of
+    ``STEP_TOL`` at the cap warns with a ``ConvergenceWarning`` that names
+    its index.  Fits that share a row count and a kept width run as one
+    stack, and each is bitwise equal to fitting it alone.
     """
+    if not 0.0 < lr <= 1.0:
+        raise ValueError(f"lr must lie in (0, 1], got {lr}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be at least 0, got {epochs}")
     fits = [_standardize(fm) for fm in matrices]
     groups = {}
     for i, (z, *_) in enumerate(fits):
         groups.setdefault(z.shape, []).append(i)
     models = [None] * len(fits)
     for members in groups.values():
-        W, B = _descend(np.stack([fits[i][0] for i in members]),
-                        np.stack([matrices[i].labels for i in members]),
-                        epochs, lr)
+        W, B, converged = _descend(np.stack([fits[i][0] for i in members]),
+                                   np.stack([matrices[i].labels
+                                             for i in members]),
+                                   epochs, lr)
         W.setflags(write=False)
         for row, i in enumerate(members):
+            if not converged[row]:
+                warnings.warn(ConvergenceWarning(i, epochs))
             _, mean, std, kept = fits[i]
             models[i] = DetectorModel(
                 weights=W[row], bias=float(B[row]), feature_mean=mean,
@@ -539,7 +562,7 @@ def train_detectors(matrices, *, epochs: int = 5000, lr: float = 0.1,
 
 
 def train_detector(features: FeatureMatrix, *, epochs: int = 5000,
-                   lr: float = 0.1,
+                   lr: float = 1.0,
                    training_attack: str = "unknown") -> DetectorModel:
     """Fit one logistic regression: ``train_detectors`` on a batch of one."""
     return train_detectors([features], epochs=epochs, lr=lr,
@@ -653,12 +676,14 @@ class TuningResult:
     selected: float
 
 
-def _cv_auc(matrices, folds: int, seed: int) -> list:
+def _cv_auc(matrices, folds: int, seed: int, *, epochs: int = 5000,
+            lr: float = 1.0) -> list:
     """Mean validation AUC over simple shuffled folds, one per matrix.
 
     The matrices must be one sweep's values over the same rows: they share
     the first one's labels, provenance and fold assignment, and each fold
-    fits all of them in one ``train_detectors`` call.
+    fits all of them in one ``train_detectors`` call with ``epochs`` and
+    ``lr``.
     """
     labels = matrices[0].labels
     n = labels.size
@@ -677,7 +702,7 @@ def _cv_auc(matrices, folds: int, seed: int) -> list:
             FeatureMatrix(features=m.features[~val], labels=labels[~val],
                           provenance=train_provenance,
                           feature_kind=m.feature_kind)
-            for m in matrices])
+            for m in matrices], epochs=epochs, lr=lr)
         y = labels[val]
         for per_matrix, m, model in zip(scores, matrices, models):
             s = score(model, m.features[val])
@@ -686,14 +711,15 @@ def _cv_auc(matrices, folds: int, seed: int) -> list:
 
 
 def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
-                   folds: int = 3, seed: int = 0) -> TuningResult:
+                   folds: int = 3, seed: int = 0, epochs: int = 5000,
+                   lr: float = 1.0) -> TuningResult:
     """Grid-search k (lid) or the bandwidth sigma (kd) by internal CV.
 
     Each attack's batches are prepared once and swept over the whole grid
     (``features_sweep``); the mean cross-validated AUC of every grid value is
-    taken per attack, each fold fitting the whole grid at once, and the
-    value with the highest mean across attacks wins; ties go to the smaller
-    value.
+    taken per attack, each fold fitting the whole grid at once with the
+    detector settings ``epochs`` and ``lr``, and the value with the highest
+    mean across attacks wins; ties go to the smaller value.
     """
     if feature_kind not in ("lid", "kd"):
         raise ValueError("only the lid (k) and kd (sigma) parameters are tunable")
@@ -719,7 +745,7 @@ def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
             features=np.vstack([by_value[g].features for by_value in per_batch]),
             labels=labels, provenance=provenance, feature_kind=feature_kind)
             for g in range(len(grid))]
-        aucs.append(_cv_auc(joined, folds, seed))
+        aucs.append(_cv_auc(joined, folds, seed, epochs=epochs, lr=lr))
     means = [float(np.mean(cell)) for cell in zip(*aucs)]
     best = int(np.argmax(means))  # first max on an ascending grid = smallest
     return TuningResult(grid=tuple(grid), mean_auc=tuple(means),

@@ -59,3 +59,13 @@ class ParseError(LidkitError):
     def __init__(self, line, message):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+class ConvergenceWarning(UserWarning):
+    """A detector fit reached its iteration cap before converging.  Carries
+    the fit's index in the list of matrices being fitted."""
+
+    def __init__(self, index, cap):
+        self.index = index
+        super().__init__(f"detector fit {index} stopped at the cap of {cap} "
+                         f"Newton iterations before converging")

@@ -63,7 +63,7 @@ class ExperimentConfig:
     bu_runs: int = 50
     minibatch_size: int = 100
     detector_epochs: int = 5000
-    detector_lr: float = 0.1
+    detector_lr: float = 1.0
     folds: int = 3
     tune_target: str = "lid"
     tune_grid_k: tuple = _DEFAULT_K_GRID
@@ -100,6 +100,11 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1 and folds >= 2")
         if not 0.0 < self.sigma:
             raise ValueError("sigma must be positive")
+        if self.detector_epochs < 1:
+            raise ValueError("detector_epochs must be at least 1")
+        if not 0.0 < self.detector_lr <= 1.0:
+            raise ValueError(f"detector_lr must lie in (0, 1], got "
+                             f"{self.detector_lr}")
         if self.bu_runs < 2:
             raise ValueError("bu_runs must be at least 2")
         if self.table4_inputs < 2 or self.fig4_queries < 2:

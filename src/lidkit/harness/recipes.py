@@ -11,6 +11,7 @@ training or scaler fitting; the id sets are checked disjoint and recorded.
 from __future__ import annotations
 
 import platform
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +21,8 @@ from .. import microgradnet
 from ..attacks import ATTACK_KINDS, run_attack
 from ..characteristics import BuConfig, KdConfig, minmax_normalize
 from ..detector import FeatureMatrix
-from ..errors import DegenerateProfileError, LidkitError, ParseError
+from ..errors import (ConvergenceWarning, DegenerateProfileError,
+                      LidkitError, ParseError)
 from ..microgradnet import SgdConfig
 from ..neighborhood import Minibatch
 from .config import ExperimentConfig, default_layers, parse_layers
@@ -248,17 +250,33 @@ def combined_features(pl: Pipeline, attack_kind: str):
 
 
 def _fit(pl: Pipeline, matrices: list, attack_kind: str) -> list:
-    """One detector per matrix, fitted together by ``train_detectors``; a
-    note per fit that dropped columns, in input order."""
-    models = det.train_detectors(matrices, epochs=pl.cfg.detector_epochs,
-                                 lr=pl.cfg.detector_lr,
-                                 training_attack=attack_kind)
-    for features, model in zip(matrices, models):
+    """One detector per matrix, fitted together by ``train_detectors``; in
+    input order, a note per fit that dropped columns and per fit that
+    stopped at the iteration cap (its ``ConvergenceWarning``)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        models = det.train_detectors(matrices,
+                                     epochs=pl.cfg.detector_epochs,
+                                     lr=pl.cfg.detector_lr,
+                                     training_attack=attack_kind)
+    capped = set()
+    for w in caught:
+        if issubclass(w.category, ConvergenceWarning):
+            capped.add(w.message.index)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno)
+    for i, (features, model) in enumerate(zip(matrices, models)):
+        label = f"{attack_kind}/{features.feature_kind}"
         if len(model.kept_features) < features.features.shape[1]:
             dropped = sorted(set(range(features.features.shape[1]))
                              - set(model.kept_features))
-            pl.notes.append(f"{attack_kind}/{features.feature_kind}: dropped "
-                            f"zero-variance feature columns {dropped}")
+            pl.notes.append(f"{label}: dropped zero-variance feature "
+                            f"columns {dropped}")
+        if i in capped:
+            pl.notes.append(f"{label}: detector fit stopped at the cap of "
+                            f"{pl.cfg.detector_epochs} Newton iterations "
+                            f"before converging")
     return models
 
 
@@ -267,14 +285,16 @@ def _fit(pl: Pipeline, matrices: list, attack_kind: str) -> list:
 
 
 def check_bu_has_dropout(pl: Pipeline) -> None:
-    """Reject the bu kind before any attack runs if the network has no
-    dropout layer with a positive rate: every stochastic pass then gives the
-    same output, so BU is 0 up to rounding and carries no signal."""
-    if "bu" in pl.cfg.feature_kinds and not any(
-            spec.kind == "dropout" and spec.dropout_rate > 0
-            for spec in pl.net.layers):
-        raise ValueError("feature kind 'bu' needs a dropout layer in the "
-                         "network; without one BU is 0 up to rounding")
+    """Reject the kinds that read BU (bu, kd_bu, combined) before any attack
+    runs if the network has no dropout layer with a positive rate: every
+    stochastic pass then gives the same output, so BU is 0 up to rounding
+    and carries no signal."""
+    reads_bu = [kind for kind in pl.cfg.feature_kinds if kind in det.BU_KINDS]
+    if reads_bu and not any(spec.kind == "dropout" and spec.dropout_rate > 0
+                            for spec in pl.net.layers):
+        raise ValueError(f"feature kind {reads_bu[0]!r} needs a dropout "
+                         f"layer in the network; without one BU is 0 up to "
+                         f"rounding")
 
 
 def _recipe_table1(pl: Pipeline, report: ExperimentReport) -> None:
@@ -387,7 +407,9 @@ def _recipe_fig3(pl: Pipeline, report: ExperimentReport) -> None:
     for feature_kind, parameter, grid in runs:
         result = det.tune_parameter(pl.net, pl.train_batches, grid,
                                     feature_kind, attack_cfgs,
-                                    folds=cfg.folds, seed=cfg.seed + 5)
+                                    folds=cfg.folds, seed=cfg.seed + 5,
+                                    epochs=cfg.detector_epochs,
+                                    lr=cfg.detector_lr)
         points = []
         for attack_kind, values in result.per_attack_auc.items():
             for x, y in zip(result.grid, values):

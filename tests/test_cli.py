@@ -22,7 +22,7 @@ dataset.name = gaussian_blobs
 dataset.param.dim = 2
 dataset.n_train = 120
 dataset.n_test = 60
-network.layers = dense:8,relu,dense:2,softmax
+network.layers = dense:8,relu,dropout:0.2,dense:2,softmax
 network.epochs = 10
 batch.size = 25
 feature.k = 8
@@ -62,7 +62,7 @@ def test_full_workflow_through_the_cli(tmp_path, capsys):
 
     assert main(["extract-features", "--config", with_net, "--out", out]) == 0
     fm = load_feature_matrix(f"{out}/features_opt_lid.csv", "lid")
-    assert fm.features.shape[1] == 5  # one column per activation level
+    assert fm.features.shape[1] == 6  # one column per activation level
     assert (tmp_path / "out" / "features_opt_combined.csv").exists()
 
     with_features = _write_cfg(

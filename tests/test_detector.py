@@ -19,8 +19,8 @@ from lidkit.detector import (FEATURE_KINDS, FeatureMatrix, _cv_auc,
                              save_detector, save_feature_matrix, score,
                              select_kind, train_detector, train_detectors,
                              transfer_evaluate, tune_parameter)
-from lidkit.errors import (DegenerateProfileError, EmptyPositiveClassError,
-                           ParseError, ShapeError)
+from lidkit.errors import (ConvergenceWarning, DegenerateProfileError,
+                           EmptyPositiveClassError, ParseError, ShapeError)
 from lidkit.microgradnet import (LayerSpec, Network, activations_batch,
                                  forward_capture, predict_batch)
 from lidkit.neighborhood import Minibatch, distances_to, knn_profile
@@ -196,32 +196,33 @@ def test_shuffled_labels_score_near_chance():
     assert abs(held_out_auc(model, test) - 0.5) <= 0.1
 
 
-def _descent_oracle(features, epochs, lr):
+def _newton_oracle(features, epochs, lr):
     """The scalar fit that ``train_detectors`` stacks: standardize, then
-    full-batch gradient descent on one matrix alone.  Returns (weights, bias,
-    kept, mean, std, updates), ``updates`` counting the descent steps made."""
+    ridge-penalised Newton on one matrix alone, in 2-D arithmetic.  Returns
+    (weights, bias, kept, mean, std, iterations, converged)."""
     y = features.labels
     raw = features.features
     mean, std = raw.mean(axis=0), raw.std(axis=0)
     kept = np.flatnonzero(std > 0.0)
     z = (raw[:, kept] - mean[kept]) / std[kept]
-    n = z.shape[0]
-    w = np.zeros(kept.size)
-    b = 0.0
-    prev_loss = np.inf
-    updates = 0
+    x = np.hstack([z, np.ones((z.shape[0], 1))])
+    width = kept.size
+    beta = np.zeros(width + 1)
+    iterations, converged = 0, False
     for _ in range(epochs):
-        p = 1.0 / (1.0 + np.exp(-np.clip(z @ w + b, -35.0, 35.0)))
-        eps = 1e-12
-        loss = -float(np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-        if prev_loss - loss < 1e-8:
+        p = 1.0 / (1.0 + np.exp(-np.clip(x @ beta, -35.0, 35.0)))
+        grad = x.T @ (p - y)
+        grad[:width] += detector.PENALTY * beta[:width]
+        hess = x.T @ (x * (p * (1.0 - p))[:, None])
+        hess[np.arange(width), np.arange(width)] += detector.PENALTY
+        step = np.linalg.solve(hess, grad)
+        beta -= lr * step
+        iterations += 1
+        if np.abs(step).max() < detector.STEP_TOL:
+            converged = True
             break
-        prev_loss = loss
-        g = p - y
-        w -= lr * (z.T @ g) / n
-        b -= lr * float(g.mean())
-        updates += 1
-    return w, b, tuple(kept.tolist()), mean[kept], std[kept], updates
+    return (beta[:width], beta[width], tuple(kept.tolist()), mean[kept],
+            std[kept], iterations, converged)
 
 
 def _bits(a):
@@ -231,7 +232,7 @@ def _bits(a):
 @st.composite
 def _fit_inputs(draw):
     """1-4 matrices over two row counts and up to three columns, some
-    constant; class shifts from none (early stops) to separable (runs long)."""
+    constant; class shifts from none to separable."""
     rows = draw(st.sampled_from([(6, 9), (8, 8), (12, 5)]))
     matrices = []
     for _ in range(draw(st.integers(1, 4))):
@@ -252,25 +253,41 @@ def _fit_inputs(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(matrices=_fit_inputs(), epochs=st.sampled_from([0, 1, 40, 1500]),
-       lr=st.sampled_from([0.1, 0.5]))
+@given(matrices=_fit_inputs(), epochs=st.sampled_from([0, 1, 100]),
+       lr=st.sampled_from([1.0, 0.5]))
 def test_stacked_fits_equal_the_scalar_descent_bitwise(matrices, epochs, lr):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         models = train_detectors(matrices, epochs=epochs, lr=lr,
                                  training_attack="bim_a")
+    capped = {w.message.index for w in caught
+              if issubclass(w.category, ConvergenceWarning)}
     assert len(models) == len(matrices)
-    for fm, model in zip(matrices, models):
-        w, b, kept, mean, std, _ = _descent_oracle(fm, epochs, lr)
+    for i, (fm, model) in enumerate(zip(matrices, models)):
+        w, b, kept, mean, std, _, converged = _newton_oracle(fm, epochs, lr)
         assert _bits(model.weights) == _bits(w)
         assert _bits(model.bias) == _bits(b)
         assert model.kept_features == kept
         assert _bits(model.feature_mean) == _bits(mean)
         assert _bits(model.feature_std) == _bits(std)
         assert model.training_attack == "bim_a"
+        assert (i in capped) == (not converged)
+    if epochs == 100:
+        assert not capped
+
+
+def _penalised_gradient(model, fm):
+    """Gradient of the summed log-loss plus PENALTY/2 |w|^2 at the model."""
+    z = ((fm.features[:, list(model.kept_features)] - model.feature_mean)
+         / model.feature_std)
+    residual = _sigmoid(z @ model.weights + model.bias) - fm.labels
+    return np.append(z.T @ residual + detector.PENALTY * model.weights,
+                     residual.sum())
 
 
 def test_stacked_fits_stop_on_their_own_and_raise_as_before():
+    # separable classes have no finite unpenalised optimum; the penalty
+    # gives them one, and Newton reaches it
     rng = np.random.default_rng(3)
     labels = np.repeat([0, 1], 20)
     prov = ["normal"] * 20 + ["adversarial"] * 20
@@ -278,12 +295,18 @@ def test_stacked_fits_stop_on_their_own_and_raise_as_before():
                 labels, prov)
     separable = _fm(rng.standard_normal((40, 2)) + 8.0 * labels[:, None],
                     labels, prov)
-    fits = [_descent_oracle(fm, 3000, 0.1) for fm in (separable, noisy)]
-    assert fits[0][-1] == 3000 and fits[1][-1] < 1000
-    models = train_detectors([separable, noisy], epochs=3000)
-    for fit, model in zip(fits, models):
-        assert _bits(model.weights) == _bits(fit[0])
-        assert _bits(model.bias) == _bits(fit[1])
+    matrices = [separable, noisy, _separable()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        models = train_detectors(matrices, epochs=50)
+    for fm, model in zip(matrices, models):
+        w, b, _, _, _, iterations, converged = _newton_oracle(fm, 50, 1.0)
+        assert converged and iterations < 50
+        assert _bits(model.weights) == _bits(w)
+        assert _bits(model.bias) == _bits(b)
+        assert np.all(np.isfinite(model.weights))
+        assert np.abs(_penalised_gradient(model, fm)).max() < 1e-8
+    assert held_out_auc(models[0], separable) == 1.0
 
     single_class = _fm([[0.0], [1.0]], [0, 0], ("normal", "noisy"))
     with pytest.raises(ValueError, match="both classes"):
@@ -292,6 +315,29 @@ def test_stacked_fits_stop_on_their_own_and_raise_as_before():
     with pytest.warns(UserWarning, match="zero-variance"):
         with pytest.raises(ValueError, match="all features have zero variance"):
             train_detectors([noisy, constant])
+
+
+def test_fits_warn_with_their_index_when_they_stop_at_the_cap():
+    noisy = _fm([[0.0], [0.3], [1.0], [0.2], [0.9]], [0, 0, 1, 1, 0],
+                ("normal", "noisy", "adversarial", "adversarial", "normal"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train_detectors([_separable(), noisy], epochs=1)
+    assert all(w.category is ConvergenceWarning for w in caught)
+    assert sorted(str(w.message) for w in caught) == [
+        f"detector fit {i} stopped at the cap of 1 Newton iterations before "
+        f"converging" for i in (0, 1)]
+
+
+def test_detector_settings_are_checked():
+    for lr in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="lr must lie in"):
+            train_detectors([_separable()], lr=lr)
+    with pytest.raises(ValueError, match="epochs must be at least 0"):
+        train_detectors([_separable()], epochs=-1)
+    with pytest.warns(ConvergenceWarning):
+        zero = train_detector(_separable(), epochs=0)
+    assert not zero.weights.any() and zero.bias == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -104,6 +104,9 @@ def test_load_config_reads_files_and_layers_on_base(tmp_path):
     ("recipe.fig4.sizes = 14, 100\n", "at least 15"),
     ("attack.list = fgm, pgd\n", "unknown attack"),
     ("feature.kinds = lid, entropy\n", "feature kind"),
+    ("detector.epochs = 0\n", "detector_epochs must be at least 1"),
+    ("detector.lr = 0\n", "detector_lr must lie in"),
+    ("detector.lr = 1.5\n", "detector_lr must lie in"),
 ])
 def test_validate_rejects_bad_settings(text, match):
     cfg = parse_config_text(text)
@@ -341,6 +344,30 @@ def test_bu_without_dropout_fails_before_any_attack(monkeypatch, recipe,
     with pytest.raises(ValueError, match="'bu' needs a dropout layer"):
         run_recipe(recipe, cfg, write=False)
     assert not prepared
+
+
+@pytest.mark.parametrize("kind", ["kd_bu", "combined"])
+def test_every_kind_that_reads_bu_needs_dropout(monkeypatch, kind):
+    # kd_bu and combined read the BU column too; on a network without
+    # dropout it is rounding noise that a detector would fit
+    prepared = []
+    monkeypatch.setattr(detector, "prepare_batch",
+                        lambda *args, **kwargs: prepared.append(args))
+    cfg = parse_config_text(f"feature.kinds = {kind}\n", base=_tiny_cfg())
+    with pytest.raises(ValueError, match=f"'{kind}' needs a dropout layer"):
+        run_recipe("table1", cfg, write=False)
+    assert not prepared
+
+
+def test_fits_stopped_at_the_cap_become_report_notes():
+    capped = run_recipe("table1", _tiny_cfg(feature_kinds=("lid", "kd"),
+                                            detector_epochs=1), write=False)
+    assert [n for n in capped.notes if "cap" in n] == [
+        f"fgm/{kind}: detector fit stopped at the cap of 1 Newton "
+        f"iterations before converging" for kind in ("lid", "kd")]
+    stock = run_recipe("table1", _tiny_cfg(feature_kinds=("lid", "kd")),
+                       write=False)
+    assert not [n for n in stock.notes if "cap" in n]
 
 
 def test_table5_reports_attack_statistics(tmp_path):
