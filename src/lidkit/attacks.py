@@ -31,12 +31,13 @@ outcomes are bitwise those of stepping through ``predict`` and
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import microgradnet
-from .errors import ExhaustedFeaturesError, NoDirectionError
+from .errors import ExhaustedFeaturesError, NoDirectionError, ShapeError
 from .microgradnet import CrossEntropy, input_gradient
 # unused here; benchmark/child.py's traced run checks this binding is patched
 from .microgradnet import forward_capture  # noqa: F401
@@ -428,6 +429,35 @@ def run_attack(net, x, label: int, cfg: AttackConfig,
     if refs is None:
         raise ValueError("adaptive_opt requires a reference minibatch")
     return adaptive_opt_lid(net, x, label, refs, cfg)
+
+
+def run_attacks(net, xs, labels, cfg: AttackConfig, *,
+                refs: Minibatch | None = None, workers: int = 1):
+    """``(outcomes, reasons)``: ``run_attack`` on every row, row j seeded at
+    ``cfg.seed + j``, on a pool of ``workers`` threads.  A dead end becomes a
+    failed outcome with a reason (None elsewhere): "exhausted feature pairs"
+    keeps the partial iterate, "zero input gradient" the input."""
+    if len(xs) != len(labels):
+        raise ShapeError(f"{len(xs)} rows but {len(labels)} labels")
+
+    def one(j):
+        x, cfg_j = xs[j], replace(cfg, seed=cfg.seed + j)
+        try:
+            return run_attack(net, x, int(labels[j]), cfg_j, refs=refs), None
+        except ExhaustedFeaturesError as err:
+            adv = np.asarray(err.partial, dtype=float)
+            return (AttackOutcome(adv, False, err.iterations,
+                                  float(np.linalg.norm(adv - x))),
+                    "exhausted feature pairs")
+        except NoDirectionError:
+            return AttackOutcome(x, False, 0, 0.0), "zero input gradient"
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(len(xs))))
+    else:
+        results = [one(j) for j in range(len(xs))]
+    return [r[0] for r in results], [r[1] for r in results]
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import detector as det
 from .. import microgradnet
-from ..attacks import ATTACK_KINDS, run_attack
+from ..attacks import ATTACK_KINDS, run_attacks
 from ..characteristics import BuConfig, KdConfig, minmax_normalize
 from ..detector import FeatureMatrix
 from ..errors import (ConvergenceWarning, DegenerateProfileError,
@@ -493,12 +493,9 @@ def _recipe_table4(pl: Pipeline, report: ExperimentReport) -> None:
                                        input_labels, pl.reference, acfg,
                                        k=cfg.k)
 
-    # plain-opt baseline on the same inputs, scored by the same detectors;
-    # input j seeds its attack at seed + j, as row j of the test batch would
-    ocfg = cfg.attack_config(base_attack)
-    opt_outcomes = [
-        run_attack(pl.net, x, int(label), replace(ocfg, seed=ocfg.seed + j))
-        for j, (x, label) in enumerate(zip(inputs, input_labels))]
+    # plain-opt baseline on the same inputs, scored by the same detectors
+    opt_outcomes, _ = run_attacks(pl.net, inputs, input_labels,
+                                  cfg.attack_config(base_attack))
     plain = [det.score_outcome(pl.net, detectors, out, pl.reference, cfg.k)[1]
              for out in opt_outcomes]
     report.tables["adaptive_failure_rates"] = [
@@ -540,7 +537,7 @@ def run_recipe(name: str, cfg: ExperimentConfig, *,
         if cfg.n_test < required_pool:
             sizing_note = (f"dataset.n_test raised from {cfg.n_test} to "
                            f"{required_pool} to fill the fig4 reference pool")
-            cfg.n_test = required_pool
+            cfg = replace(cfg, n_test=required_pool)
     report = ExperimentReport(recipe=name, config=cfg.to_dict(),
                               seeds={}, environment=_environment())
     if sizing_note:

@@ -7,7 +7,8 @@ then ``input_gradient`` on each iterate, ``jsma`` ran ``predict`` and
 ``logit_jacobian``, and ``_opt_descent`` ran ``activations_batch`` and
 ``backprop_to_input`` on ``_margin_cotangent``.  Installed over the live
 functions, the reference must give bitwise-equal outcomes, and raise the
-same error at the same step.
+same error at the same step.  The batch entry point ``run_attacks`` is held
+to per-row ``run_attack`` the same way.
 """
 
 from contextlib import contextmanager
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from lidkit import attacks, microgradnet
-from lidkit.attacks import ATTACK_KINDS, AttackConfig, run_attack
+from lidkit.attacks import (ATTACK_KINDS, AttackConfig, run_attack,
+                            run_attacks)
 from lidkit.errors import (ExhaustedFeaturesError, NoDirectionError,
                            NumericOverflowError, ShapeError)
 from lidkit.harness.config import parse_layers
@@ -314,6 +316,79 @@ def test_overflow_raises_at_the_same_step_as_the_reference(behind_relu):
                 if got == ("NumericOverflowError",):
                     raised.append((kind, budget))
     assert ("bim_b", 7) not in raised and ("bim_b", 8) in raised
+
+
+# --------------------------------------------------------------------------
+# the batch entry point against per-row run_attack
+
+
+def _bits(out):
+    return (out.adversarial.tobytes(), out.success, out.iterations_used,
+            np.float64(out.l2_perturbation).tobytes())
+
+
+def test_run_attacks_is_run_attack_per_row_at_seed_plus_j(three_class):
+    net, xs, refs = three_class
+    xs = xs[:6]
+    labels = predict_batch(net, xs)
+    for kind in ATTACK_KINDS:
+        cfg = AttackConfig(kind=kind, epsilon=0.4, **_SMALL)
+        outcomes, reasons = run_attacks(net, xs, labels, cfg, refs=refs)
+        assert reasons == [None] * len(xs)
+        for j, out in enumerate(outcomes):
+            row_cfg = replace(cfg, seed=cfg.seed + j)
+            want = run_attack(net, xs[j], int(labels[j]), row_cfg, refs=refs)
+            assert _bits(out) == _bits(want), (kind, j)
+        if kind == "opt":  # the row seed reaches the attack
+            unseeded = [run_attack(net, x, int(y), cfg)
+                        for x, y in zip(xs, labels)]
+            assert any(_bits(a) != _bits(b)
+                       for a, b in zip(outcomes[1:], unseeded[1:]))
+
+
+def test_run_attacks_turns_a_zero_gradient_into_a_failed_outcome():
+    net = _linear_net(np.zeros((2, 2)), np.zeros(2))
+    xs = np.array([[0.5, 0.5], [0.2, 0.7]])
+    for kind in ("fgm", "bim_a", "bim_b"):
+        outcomes, reasons = run_attacks(net, xs, [0, 0],
+                                        AttackConfig(kind=kind))
+        assert reasons == ["zero input gradient"] * 2
+        for x, out in zip(xs, outcomes):
+            assert _bits(out) == (x.tobytes(), False, 0,
+                                  np.float64(0.0).tobytes())
+
+
+def test_run_attacks_keeps_an_exhausted_saliency_attacks_partial_iterate():
+    net = _linear_net([[-1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]],
+                      [5.0, 0.0])
+    x = np.array([0.2, 0.3, 0.5, 0.5])
+    cfg = AttackConfig(kind="jsma", max_iters=5)
+    with pytest.raises(ExhaustedFeaturesError) as caught:
+        run_attack(net, x, 0, cfg)
+    partial = np.asarray(caught.value.partial, dtype=float)
+    (out,), reasons = run_attacks(net, x[None, :], [0], cfg)
+    assert reasons == ["exhausted feature pairs"]
+    assert _bits(out) == (partial.tobytes(), False, caught.value.iterations,
+                          np.float64(np.linalg.norm(partial - x)).tobytes())
+    assert not np.array_equal(partial, x)
+
+
+def test_run_attacks_on_two_threads_matches_one(three_class):
+    net, xs, refs = three_class
+    labels = predict_batch(net, xs[:6])
+    for kind in ATTACK_KINDS:
+        cfg = AttackConfig(kind=kind, epsilon=0.4, **_SMALL)
+        runs = [run_attacks(net, xs[:6], labels, cfg, refs=refs,
+                            workers=workers) for workers in (1, 2)]
+        assert runs[0][1] == runs[1][1]
+        assert ([_bits(o) for o in runs[0][0]]
+                == [_bits(o) for o in runs[1][0]]), kind
+
+
+def test_run_attacks_rejects_misaligned_labels(three_class):
+    net, xs, _ = three_class
+    with pytest.raises(ShapeError):
+        run_attacks(net, xs[:3], [0, 1], AttackConfig(kind="fgm"))
 
 
 # --------------------------------------------------------------------------

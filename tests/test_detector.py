@@ -684,6 +684,10 @@ def test_adaptive_rate_needs_both_scenario_detectors(blob_net):
     with pytest.raises(ValueError, match="scenario"):
         adaptive_failure_rate(blob_net, {"scenario1": model}, [], [],
                               refs=None, attack_cfg=AttackConfig(kind="opt"))
+    both = {"scenario1": model, "scenario2": model}
+    with pytest.raises(ValueError, match="at least one input"):
+        adaptive_failure_rate(blob_net, both, [], [], refs=None,
+                              attack_cfg=AttackConfig(kind="opt"))
 
 
 def test_feature_kind_list_is_closed():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from lidkit import detector
+from lidkit import attacks, detector
 from lidkit.errors import NoDirectionError, ParseError, ShapeError
-from lidkit.harness import recipes
 from lidkit.harness.config import (ExperimentConfig, default_layers,
                                    load_config, parse_config_text,
                                    parse_layers)
@@ -393,7 +392,7 @@ def test_fig4_attacks_only_its_queries_and_the_test_batch(monkeypatch):
     assert len(pl.train_batches) >= 2
     # one row of the last train batch, which holds none of fig4's queries
     doomed = pl.train_batches[-1].vectors[0]
-    real = detector.run_attack
+    real = attacks.run_attack
     attacked = []
 
     def run_attack(net, x, label, cfg, refs=None):
@@ -402,13 +401,21 @@ def test_fig4_attacks_only_its_queries_and_the_test_batch(monkeypatch):
             raise NoDirectionError("forced")
         return real(net, x, label, cfg, refs=refs)
 
-    monkeypatch.setattr(detector, "run_attack", run_attack)
+    monkeypatch.setattr(attacks, "run_attack", run_attack)
     table5 = run_recipe("table5", _tiny_cfg(n_test=150), write=False)
     assert any("zero input gradient" in n for n in table5.notes)
     attacked.clear()
     fig4 = run_recipe("fig4", _tiny_cfg(n_test=150), write=False)
     assert not any("zero input gradient" in n for n in fig4.notes)
     assert len(attacked) == pl.cfg.fig4_queries + len(pl.test_batch)
+
+
+def test_fig4_sizes_its_pool_on_a_copy_of_the_config():
+    cfg = _tiny_cfg(fig4_sizes=(30,), fig4_queries=10)
+    report = run_recipe("fig4", cfg, write=False)
+    assert cfg.n_test == 80  # the caller's config is left as it was
+    assert report.config["n_test"] == 105
+    assert any("raised from 80 to 105" in n for n in report.notes)
 
 
 def test_table4_and_table5_attack_only_the_rows_they_read(monkeypatch):
@@ -427,8 +434,7 @@ def test_table4_and_table5_attack_only_the_rows_they_read(monkeypatch):
             return real(net, x, label, acfg, refs=refs)
         return run_attack
 
-    monkeypatch.setattr(detector, "run_attack", tally(detector.run_attack))
-    monkeypatch.setattr(recipes, "run_attack", tally(recipes.run_attack))
+    monkeypatch.setattr(attacks, "run_attack", tally(attacks.run_attack))
     run_recipe("table5", _tiny_cfg(**cfg), write=False)
     assert sorted(x for _, x in attacked) == train_rows
     attacked.clear()
