@@ -84,11 +84,13 @@ class FeatureMatrix:
             raise ShapeError("features, labels, and provenance do not align")
         if not np.all(np.isfinite(f)):
             raise ValueError("features must be finite")
-        for lab, prov in zip(y, self.provenance):
-            if prov not in SOURCES:
-                raise ValueError(f"unknown provenance {prov!r}")
-            if (lab == 1) != (prov == "adversarial"):
-                raise ValueError("positive labels must be exactly the adversarial rows")
+        prov = np.fromiter(self.provenance, dtype=object, count=len(y))
+        known = (prov[:, None] == np.array(SOURCES, dtype=object)).any(axis=1)
+        bad = np.flatnonzero(~known | ((y == 1) != (prov == "adversarial")))
+        if bad.size and not known[bad[0]]:  # the first bad row names the error
+            raise ValueError(f"unknown provenance {prov[bad[0]]!r}")
+        if bad.size:
+            raise ValueError("positive labels must be exactly the adversarial rows")
         f.setflags(write=False)
         y.setflags(write=False)
 
@@ -254,17 +256,42 @@ def _lid_columns(sq: np.ndarray, ks, exclude_self: bool) -> list:
     return [lid_of_distances(near[:, :k]) for k in ks]
 
 
+def _kd_columns(sq: np.ndarray, pred, ref_pred, kds, exclude: bool):
+    """(len(kds), n) KD of each query row for every sigma: its mean affinity
+    to the references of its predicted class, 0 where none is left, from
+    one block of ``sq`` per class (see ``_sweep_blocks``)."""
+    out = np.zeros((len(kds), sq.shape[0]))
+    for c in np.flatnonzero(np.bincount(pred)):
+        rows = np.flatnonzero(pred == c)
+        block = sq[np.ix_(rows, np.flatnonzero(ref_pred == c))]
+        left = (np.count_nonzero(block > 0.0, axis=1) if exclude
+                else np.full(rows.size, block.shape[1]))
+        for m in np.flatnonzero(np.bincount(left)[1:]) + 1:
+            at = left == m
+            group = block[at]
+            if m < block.shape[1]:  # keep each row's m non-zero distances
+                group = group[group > 0.0].reshape(-1, m)
+            for v, kd_cfg in enumerate(kds):
+                out[v, rows[at]] = np.exp(
+                    -group / kd_cfg.bandwidth_sigma ** 2).mean(axis=1)
+    return out
+
+
 def _sweep_blocks(art: BatchArtifacts, ks, kds, reference):
     """(lid, kd): ``lid[source][v]`` is the (n, D) LID block for ``ks[v]``
     and ``kd[source][v]`` the KD block for ``kds[v]``.
 
     Each (source, level) computes one distance matrix, however many values
-    there are: KD takes one ``exp`` per sigma from it, then LID sorts it in
-    place and reads the first k columns for each k.  KD references are
-    restricted to the query's predicted class; a query whose class has no
-    reference scores 0 (the empty-neighborhood limit).  In training mode a
-    normal query leaves out every reference at distance zero from it (its own
-    row and exact duplicates), for LID and KD alike.
+    there are; LID sorts it in place and reads the first k columns for each
+    k.  KD gathers one block per predicted class, its queries against the
+    same-class references, and takes one ``exp`` and one row-wise mean per
+    sigma; a query whose class has no reference left scores 0 (the
+    empty-neighborhood limit).  In training mode a normal query leaves out
+    every reference at distance zero from it, for LID and KD alike: its own
+    row and exact duplicates.  KD masks and reshapes together the rows of a
+    block that keep the same number of references, which is usually every
+    row, less its own; a row with duplicates keeps fewer and joins a smaller
+    group.  Each row-wise mean is bitwise the mean over that row alone.
     """
     ref_levels, ref_pred = _reference_levels(art, reference)
     shape = (len(art.batch), art.net.depth)
@@ -275,14 +302,8 @@ def _sweep_blocks(art: BatchArtifacts, ks, kds, reference):
         for i, (q, r) in enumerate(zip(art.levels[source], ref_levels)):
             sq = squared_distances(q, r)
             if kds:
-                keep = art.preds[source][:, None] == ref_pred
-                if exclude:
-                    keep &= sq > 0.0
-                rows = np.flatnonzero(keep.any(axis=1))
-                for v, kd_cfg in enumerate(kds):
-                    affinity = np.exp(-sq / kd_cfg.bandwidth_sigma ** 2)
-                    for j in rows:
-                        kd[source][v, j, i] = affinity[j, keep[j]].mean()
+                kd[source][:, :, i] = _kd_columns(sq, art.preds[source],
+                                                  ref_pred, kds, exclude)
             if ks:
                 for v, column in enumerate(_lid_columns(sq, ks, exclude)):
                     lid[source][v, :, i] = column

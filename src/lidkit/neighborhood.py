@@ -16,7 +16,11 @@ from .errors import DegenerateProfileError, ShapeError
 MINIBATCH_SOURCES = ("normal", "adversarial", "noisy")
 
 # squared_distances block size: rows * m * d <= BLOCK_FLOATS, rows >= 1
+# (rows * m below PLAIN_SUM_WIDTH, where no (rows, m, d) block is made)
 BLOCK_FLOATS = 1 << 16
+# numpy's pairwise sum adds fewer than this many terms one by one, in order,
+# so a column-by-column sum is bitwise its sum below this width
+PLAIN_SUM_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -112,17 +116,25 @@ def squared_distances(queries, refs) -> np.ndarray:
     """(n, m) squared L2 distances from query rows to reference rows.
 
     Each is summed as ``distances_to`` sums it, so ``np.sqrt`` of row i is
-    bitwise ``distances_to(queries[i], ...)``.  Queries go in blocks.
+    bitwise ``distances_to(queries[i], ...)``.  Queries go in blocks.  Below
+    ``PLAIN_SUM_WIDTH`` columns numpy's sum runs in plain order, so a block
+    adds the squared column differences one column at a time, which is exact
+    and needs no (rows, m, d) temporary; width 0 gives zeros.
     """
     q = np.asarray(queries, dtype=float)
     r = np.asarray(refs, dtype=float)
     if q.ndim != 2 or r.ndim != 2 or q.shape[1] != r.shape[1]:
         raise ShapeError(f"queries {q.shape} do not match references {r.shape}")
-    step = max(1, BLOCK_FLOATS // max(1, r.size))
-    out = np.empty((q.shape[0], r.shape[0]))
+    narrow = r.shape[1] < PLAIN_SUM_WIDTH
+    step = max(1, BLOCK_FLOATS // max(1, r.shape[0] if narrow else r.size))
+    out = np.zeros((q.shape[0], r.shape[0]))
     for start in range(0, q.shape[0], step):
-        diff = r[None, :, :] - q[start:start + step, None, :]
-        out[start:start + step] = (diff ** 2).sum(axis=2)
+        rows, block = q[start:start + step], out[start:start + step]
+        if narrow:
+            for j in range(r.shape[1]):
+                block += (rows[:, j, None] - r[:, j]) ** 2
+        else:
+            block[...] = ((r[None, :, :] - rows[:, None, :]) ** 2).sum(axis=2)
     return out
 
 

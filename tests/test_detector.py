@@ -23,7 +23,8 @@ from lidkit.errors import (ConvergenceWarning, DegenerateProfileError,
                            EmptyPositiveClassError, ParseError, ShapeError)
 from lidkit.microgradnet import (LayerSpec, Network, activations_batch,
                                  forward_capture, predict_batch)
-from lidkit.neighborhood import Minibatch, distances_to, knn_profile
+from lidkit.neighborhood import (Minibatch, distances_to, knn_profile,
+                                 squared_distances)
 
 
 def _fm(features, labels, provenance, kind="lid"):
@@ -47,6 +48,19 @@ def test_feature_matrix_ties_labels_to_provenance():
         _fm([[1.0]], [0], ("adversarial",))
     with pytest.raises(ValueError, match="provenance"):
         _fm([[1.0]], [0], ("benign",))
+
+
+def test_feature_matrix_names_the_first_bad_row():
+    # unknown provenance is checked before the label of the same row
+    with pytest.raises(ValueError, match="^unknown provenance 'stolen'$"):
+        _fm([[1.0]] * 3, [0, 1, 1], ("normal", "stolen", "adversarial"))
+    with pytest.raises(ValueError, match="^unknown provenance None$"):
+        _fm([[1.0]] * 2, [1, 0], (None, "noisy"))
+    with pytest.raises(ValueError, match="^positive labels must be exactly "
+                                         "the adversarial rows$"):
+        _fm([[1.0]] * 3, [1, 0, 0], ("noisy", "stolen", "normal"))
+    fm = _fm([[1.0]] * 3, [0, 1, 0], ("noisy", "adversarial", "normal"))
+    assert fm.provenance == ("noisy", "adversarial", "normal")
 
 
 def test_feature_matrix_shape_and_value_checks():
@@ -539,6 +553,51 @@ def test_batch_features_equal_single_query_oracles(kind, mode, moons_net,
     assert got.tobytes() == want.tobytes()
     if kind == "kd" and mode == "heldout":
         assert np.any(got == 0.0)
+
+
+def _kd_row_loop(sq, pred, ref_pred, sigma, exclude):
+    """KD one query row at a time: the mean over the row's kept affinities."""
+    keep = pred[:, None] == ref_pred
+    if exclude:
+        keep &= sq > 0.0
+    affinity = np.exp(-sq / sigma ** 2)
+    out = np.zeros(sq.shape[0])
+    for j in np.flatnonzero(keep.any(axis=1)):
+        out[j] = affinity[j, keep[j]].mean()
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("mode", ["train", "heldout"])
+def test_kd_class_blocks_equal_the_per_row_mean(seed, mode):
+    rng = np.random.default_rng(seed)
+    refs = rng.integers(0, 4, (40, 3)) * 0.1  # grid points: duplicate rows
+    refs = np.vstack([refs, refs[:4], [[9.0, 9.0, 9.0]]])
+    # the class is a function of the point, so duplicates share one; the
+    # last point is alone in class 4
+    ref_pred = np.rint(refs.sum(axis=1) * 10).astype(int) % 4
+    ref_pred[-1] = 4
+    if mode == "train":
+        queries, pred = refs, ref_pred
+    else:  # a class 5 no reference has, and queries that sit on references
+        queries = np.vstack([rng.random((20, 3)), refs[:5]])
+        pred = np.concatenate([rng.integers(0, 6, 20), ref_pred[:5]])
+    sq = squared_distances(queries, refs)
+    kds = [KdConfig(bandwidth_sigma=s) for s in (0.05, 0.3, 2.0)]
+    got = detector._kd_columns(sq, pred, ref_pred, kds, mode == "train")
+    for v, kd in enumerate(kds):
+        want = _kd_row_loop(sq, pred, ref_pred, kd.bandwidth_sigma,
+                            mode == "train")
+        assert got[v].tobytes() == want.tobytes()
+    same = pred[:, None] == ref_pred
+    if mode == "train":
+        # rows with a duplicate drop two or more zeros; the lone row keeps none
+        assert (((sq == 0.0) & same).sum(axis=1) >= 2).any()
+        assert np.all(got[:, -1] == 0.0)
+    else:
+        assert np.all(got[:, pred == 5] == 0.0)
+        assert ((sq == 0.0) & same).any()  # zero distances are kept
+    assert np.all(got[:, same.any(axis=1) & (pred != 4)] > 0.0)
 
 
 @pytest.fixture(scope="module")

@@ -235,3 +235,22 @@ def test_kernel_shape_validation():
         squared_distances(np.ones((2, 3)), np.ones((4, 2)))
     with pytest.raises(ShapeError):
         squared_distances(np.ones(3), np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("width", range(11))
+def test_kernel_rows_equal_distances_to_at_narrow_widths(width):
+    # widths 1-7 take the column-by-column sum, 8 and up the summed blocks,
+    # and width 0 gives zeros
+    rng = np.random.default_rng(width)
+    for style in ("grid", "tenths", "continuous"):
+        refs = _cloud(rng, 12, width, style)
+        refs = np.vstack([refs, refs[[0, 0, 5]]])  # duplicate references
+        queries = np.vstack([_cloud(rng, 7, width, style), refs[[0, 3]]])
+        batch = Minibatch(member_ids=np.arange(len(refs)), vectors=refs)
+        want = np.array([distances_to(q, batch) for q in queries])
+        for block in (1, neighborhood.BLOCK_FLOATS):
+            with mock.patch.object(neighborhood, "BLOCK_FLOATS", block):
+                got = np.sqrt(squared_distances(queries, refs))
+            assert got.tobytes() == want.tobytes()
+    if width == 0:
+        assert not got.any()
