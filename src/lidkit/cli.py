@@ -189,13 +189,13 @@ def _cmd_evaluate(cfg) -> int:
 
 
 def _cmd_tune(cfg) -> int:
-    cfg.validate()
     pl = recipes.build_pipeline(cfg)
     grid = cfg.tune_grid_k if cfg.tune_target == "lid" else cfg.tune_grid_sigma
     result = detector.tune_parameter(
-        pl.net, pl.train_batches, grid, cfg.tune_target,
+        pl.net, pl.train_batches, {cfg.tune_target: grid},
         [cfg.attack_config(a) for a in cfg.attacks], folds=cfg.folds,
-        seed=cfg.seed + 5, epochs=cfg.detector_epochs, lr=cfg.detector_lr)
+        seed=cfg.seed + 5, epochs=cfg.detector_epochs,
+        lr=cfg.detector_lr)[cfg.tune_target]
     out_dir = _out_dir(cfg)
     path = os.path.join(out_dir, "tuning.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -27,8 +27,9 @@ Detectors are L2-penalised logistic regressions, as scikit-learn's
 Newton's method (IRLS).  ``train_detectors`` fits a list of matrices: fits
 that share a row count and a kept width run as one stacked Newton iteration,
 in which each fit stops on its own and is bitwise equal to fitting it alone.
-``train_detector`` is a list of one, and ``tune_parameter`` fits each fold's
-whole grid in one call.
+``train_detector`` is a list of one.  ``tune_parameter`` prepares each
+(attack, batch) once, tunes k and sigma from that one preparation, and fits
+each fold's whole grid in one call.
 """
 
 from __future__ import annotations
@@ -704,48 +705,55 @@ def _cv_auc(matrices, folds: int, seed: int, *, epochs: int = 5000,
     return [float(np.mean(per_matrix)) for per_matrix in scores]
 
 
-def tune_parameter(net, batches, grid, feature_kind: str, attack_cfgs, *,
-                   folds: int = 3, seed: int = 0, epochs: int = 5000,
-                   lr: float = 1.0) -> TuningResult:
-    """Grid-search k (lid) or the bandwidth sigma (kd) by internal CV.
+def tune_parameter(net, batches, grids: dict, attack_cfgs, *, folds: int = 3,
+                   seed: int = 0, epochs: int = 5000,
+                   lr: float = 1.0) -> dict:
+    """Grid-search k (lid) and the bandwidth sigma (kd) by internal CV.
 
-    Each attack's batches are prepared once and swept over the whole grid
+    ``grids`` maps "lid" to a k grid and/or "kd" to a sigma grid; the result
+    maps each to its TuningResult, in that order.  Each (attack, batch) is
+    prepared once and every kind sweeps its whole grid from that preparation
     (``features_sweep``); the mean cross-validated AUC of every grid value is
     taken per attack, each fold fitting the whole grid at once with the
     detector settings ``epochs`` and ``lr``, and the value with the highest
     mean across attacks wins; ties go to the smaller value.
     """
-    if feature_kind not in ("lid", "kd"):
+    if not grids:
+        raise ValueError("grids must be nonempty")
+    if not set(grids) <= {"lid", "kd"}:
         raise ValueError("only the lid (k) and kd (sigma) parameters are tunable")
-    grid = sorted(grid)
-    if not grid:
+    grids = {kind: sorted(grid) for kind, grid in grids.items()}
+    if not all(grids.values()):
         raise ValueError("grid must be nonempty")
     artifacts = [
         [prepare_batch(net, b, cfg, seed + 101 * ai + 7919 * bi)
          for bi, b in enumerate(batches)]
         for ai, cfg in enumerate(attack_cfgs)
     ]
-    if feature_kind == "lid":
-        sweep = {"ks": [int(v) for v in grid]}
-    else:
-        sweep = {"ks": [1], "sigmas": [float(v) for v in grid]}  # kd reads no k
-    aucs = []  # aucs[attack][grid index]
-    for arts in artifacts:
-        per_batch = [features_sweep(art, feature_kind, **sweep) for art in arts]
-        first = [by_value[0] for by_value in per_batch]
-        labels = np.concatenate([m.labels for m in first])
-        provenance = tuple(p for m in first for p in m.provenance)
-        joined = [FeatureMatrix(
-            features=np.vstack([by_value[g].features for by_value in per_batch]),
-            labels=labels, provenance=provenance, feature_kind=feature_kind)
-            for g in range(len(grid))]
-        aucs.append(_cv_auc(joined, folds, seed, epochs=epochs, lr=lr))
-    means = [float(np.mean(cell)) for cell in zip(*aucs)]
-    best = int(np.argmax(means))  # first max on an ascending grid = smallest
-    return TuningResult(grid=tuple(grid), mean_auc=tuple(means),
-                        per_attack_auc={cfg.kind: tuple(a) for cfg, a
-                                        in zip(attack_cfgs, aucs)},
-                        selected=grid[best])
+    results = {}
+    for kind, grid in grids.items():
+        sweep = ({"ks": [int(v) for v in grid]} if kind == "lid" else
+                 {"ks": [1], "sigmas": [float(v) for v in grid]})  # kd reads no k
+        aucs = []  # aucs[attack][grid index]
+        for arts in artifacts:
+            per_batch = [features_sweep(art, kind, **sweep) for art in arts]
+            first = [by_value[0] for by_value in per_batch]
+            labels = np.concatenate([m.labels for m in first])
+            provenance = tuple(p for m in first for p in m.provenance)
+            joined = [FeatureMatrix(
+                features=np.vstack([by_value[g].features
+                                    for by_value in per_batch]),
+                labels=labels, provenance=provenance, feature_kind=kind)
+                for g in range(len(grid))]
+            aucs.append(_cv_auc(joined, folds, seed, epochs=epochs, lr=lr))
+        means = [float(np.mean(cell)) for cell in zip(*aucs)]
+        best = int(np.argmax(means))  # first max on an ascending grid = smallest
+        results[kind] = TuningResult(
+            grid=tuple(grid), mean_auc=tuple(means),
+            per_attack_auc={cfg.kind: tuple(a)
+                            for cfg, a in zip(attack_cfgs, aucs)},
+            selected=grid[best])
+    return results
 
 
 # --------------------------------------------------------------------------

@@ -400,16 +400,14 @@ def _recipe_fig2(pl: Pipeline, report: ExperimentReport) -> None:
 
 def _recipe_fig3(pl: Pipeline, report: ExperimentReport) -> None:
     cfg = pl.cfg
-    attack_cfgs = [cfg.attack_config(a) for a in cfg.attacks]
-    runs = [("lid", "k", tuple(cfg.tune_grid_k)),
-            ("kd", "sigma", tuple(cfg.tune_grid_sigma))]
+    results = det.tune_parameter(
+        pl.net, pl.train_batches,
+        {"lid": cfg.tune_grid_k, "kd": cfg.tune_grid_sigma},
+        [cfg.attack_config(a) for a in cfg.attacks], folds=cfg.folds,
+        seed=cfg.seed + 5, epochs=cfg.detector_epochs, lr=cfg.detector_lr)
     selected_rows = []
-    for feature_kind, parameter, grid in runs:
-        result = det.tune_parameter(pl.net, pl.train_batches, grid,
-                                    feature_kind, attack_cfgs,
-                                    folds=cfg.folds, seed=cfg.seed + 5,
-                                    epochs=cfg.detector_epochs,
-                                    lr=cfg.detector_lr)
+    for feature_kind, result in results.items():
+        parameter = {"lid": "k", "kd": "sigma"}[feature_kind]
         points = []
         for attack_kind, values in result.per_attack_auc.items():
             for x, y in zip(result.grid, values):

@@ -151,17 +151,21 @@ def _dropout_masks(net: Network, seed: int) -> dict:
     return masks
 
 
-def _forward_rows(net: Network, x: np.ndarray, masks=None) -> list:
+def _forward_rows(net: Network, x: np.ndarray, masks=None, weights=None,
+                  biases=None) -> list:
     """Run a batch ``x`` of shape (n, in_dim) through the net.
 
     Returns all depth levels as (n, d_i) arrays.  ``masks`` of None means
-    deterministic dropout scaling.
+    deterministic dropout scaling.  ``weights`` and ``biases`` replace the
+    net's own parameter lists, as a training step's do.
     """
+    weights = net.weights if weights is None else weights
+    biases = net.biases if biases is None else biases
     acts = [x]
     a = x
     for i, spec in enumerate(net.layers):
         if spec.kind == "dense":
-            a = a @ net.weights[i].T + net.biases[i]
+            a = a @ weights[i].T + biases[i]
         elif spec.kind == "relu":
             a = np.maximum(a, 0.0)
         elif spec.kind == "dropout":
@@ -371,20 +375,9 @@ def _batch_loss_and_grads(net, weights, biases, xb, yb):
     Works on mutable parameter lists so the training loop does not have to
     rebuild a Network every step.  Dropout uses deterministic scaling.
     """
-    acts = [xb]
-    a = xb
-    for i, spec in enumerate(net.layers):
-        if spec.kind == "dense":
-            a = a @ weights[i].T + biases[i]
-        elif spec.kind == "relu":
-            a = np.maximum(a, 0.0)
-        elif spec.kind == "dropout":
-            a = a * (1.0 - spec.dropout_rate)
-        else:
-            a = a - a.max(axis=1, keepdims=True)
-        acts.append(a)
-    # acts[-1] holds shifted logits; finish softmax and cross-entropy in one go
-    z = acts[-1]
+    acts = _forward_rows(net, xb, weights=weights, biases=biases)
+    # shift the logits by their row max; softmax and cross-entropy in one go
+    z = acts[-2] - acts[-2].max(axis=1, keepdims=True)
     logsum = np.log(np.exp(z).sum(axis=1))
     n = xb.shape[0]
     loss = float(np.mean(logsum - z[np.arange(n), yb]))

@@ -702,8 +702,8 @@ def test_tuning_sweeps_the_grid_and_reports_per_attack(blob_net, blob_data):
                   vectors=blob_data.features[20:40]),
     ]
     cfgs = [AttackConfig(kind="opt", max_iters=15, seed=1)]
-    result = tune_parameter(blob_net, batches, [5, 3], "lid", cfgs,
-                            folds=2, seed=0)
+    result = tune_parameter(blob_net, batches, {"lid": [5, 3]}, cfgs,
+                            folds=2, seed=0)["lid"]
     assert result.grid == (3, 5)
     assert len(result.mean_auc) == 2
     assert set(result.per_attack_auc) == {"opt"}
@@ -726,16 +726,19 @@ def test_tuning_fits_each_folds_grid_in_one_stacked_descent(blob_net,
                          vectors=blob_data.features[:20])]
     cfgs = [AttackConfig(kind="fgm", epsilon=0.5, seed=1),
             AttackConfig(kind="bim_a", epsilon=0.5, max_iters=5, seed=2)]
-    tune_parameter(blob_net, batches, [3, 5, 8], "lid", cfgs, folds=2, seed=0)
+    tune_parameter(blob_net, batches, {"lid": [3, 5, 8]}, cfgs, folds=2,
+                   seed=0)
     # one descent per (attack, fold), each stacking the whole grid
     assert stacks == [3] * len(cfgs) * 2
 
 
 def test_tuning_validation(blob_net):
     with pytest.raises(ValueError, match="tunable"):
-        tune_parameter(blob_net, [], [1], "bu", [])
+        tune_parameter(blob_net, [], {"bu": [1]}, [])
     with pytest.raises(ValueError, match="nonempty"):
-        tune_parameter(blob_net, [], [], "lid", [])
+        tune_parameter(blob_net, [], {"lid": []}, [])
+    with pytest.raises(ValueError, match="nonempty"):
+        tune_parameter(blob_net, [], {}, [])
 
 
 def test_adaptive_rate_needs_both_scenario_detectors(blob_net):

@@ -418,6 +418,24 @@ def test_fig4_sizes_its_pool_on_a_copy_of_the_config():
     assert any("raised from 80 to 105" in n for n in report.notes)
 
 
+def test_fig3_prepares_each_batch_once_for_both_parameters(monkeypatch):
+    cfg = _tiny_cfg(attacks=("fgm", "bim_a"))
+    pl = build_pipeline(cfg)
+    real = detector.prepare_batch
+    prepared = []
+
+    def prepare_batch(net, batch, acfg, seed, **kwargs):
+        prepared.append((acfg.kind, batch.vectors.tobytes(), seed))
+        return real(net, batch, acfg, seed, **kwargs)
+
+    monkeypatch.setattr(detector, "prepare_batch", prepare_batch)
+    report = run_recipe("fig3", cfg, write=False)
+    assert set(report.series) == {"tuning_lid_k", "tuning_kd_sigma"}
+    # k and sigma are tuned from one preparation per (attack, batch)
+    assert len(prepared) == len(cfg.attacks) * len(pl.train_batches)
+    assert len(set(prepared)) == len(prepared)
+
+
 def test_table4_and_table5_attack_only_the_rows_they_read(monkeypatch):
     cfg = dict(attacks=("fgm",), table4_inputs=3,
                attack_overrides={"*": {"max_iters": 20,
@@ -462,9 +480,9 @@ def test_sweeps_compute_one_distance_matrix_per_source_and_level(monkeypatch):
     pl = build_pipeline(_tiny_cfg())
     attack_cfgs = [pl.cfg.attack_config("fgm")]
     batches = pl.train_batches[:2]
-    for kind, grid in (("lid", (5, 8, 3)), ("kd", (0.1, 1.0, 0.3))):
-        calls.clear()
-        detector.tune_parameter(pl.net, batches, grid, kind, attack_cfgs,
-                                folds=2)
-        # per (attack, batch, source, level), whatever the grid's length
-        assert len(calls) == len(batches) * 3 * depth
+    calls.clear()
+    detector.tune_parameter(pl.net, batches,
+                            {"lid": (5, 8, 3), "kd": (0.1, 1.0, 0.3)},
+                            attack_cfgs, folds=2)
+    # per (kind, attack, batch, source, level), whatever the grids' lengths
+    assert len(calls) == 2 * len(batches) * 3 * depth
