@@ -42,8 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import characteristics, microgradnet
-from .attacks import (AttackConfig, AttackOutcome, gaussian_l2_noise,
-                      minmax_pixel_noise, run_attacks)
+from .attacks import (AttackConfig, gaussian_l2_noise, minmax_pixel_noise,
+                      run_attacks)
 # unused here; benchmark/child.py's _install checks this binding is traced
 from .attacks import run_attack  # noqa: F401
 from .characteristics import BuConfig, KdConfig, lid_of_distances
@@ -292,7 +292,8 @@ def _sweep_blocks(art: BatchArtifacts, ks, kds, reference):
     row and exact duplicates.  KD masks and reshapes together the rows of a
     block that keep the same number of references, which is usually every
     row, less its own; a row with duplicates keeps fewer and joins a smaller
-    group.  Each row-wise mean is bitwise the mean over that row alone.
+    group.  Each row-wise mean is bitwise the mean over that row alone.  The
+    scalar oracles agree to ``squared_distances``' bound, zeros exactly.
     """
     ref_levels, ref_pred = _reference_levels(art, reference)
     shape = (len(art.batch), art.net.depth)
@@ -414,12 +415,12 @@ def extract_features(net, normal_batch: Minibatch, attack_cfg: AttackConfig,
                          reference=reference)
 
 
-def lid_feature_row(net, x, reference: Minibatch, k: int) -> np.ndarray:
-    """All-level LID features of a single example against a reference batch."""
-    q_levels = microgradnet.activations_batch(net, np.atleast_2d(x))
+def lid_feature_row(net, xs, reference: Minibatch, k: int) -> np.ndarray:
+    """(n, D) held-out LID of a stack of examples against a reference."""
+    q_levels = microgradnet.activations_batch(net, xs)
     ref_levels = microgradnet.activations_batch(net, reference.vectors)
-    return np.concatenate([_lid_columns(squared_distances(q, r), [k], False)[0]
-                           for q, r in zip(q_levels, ref_levels)])
+    return np.column_stack([_lid_columns(squared_distances(q, r), [k], False)[0]
+                            for q, r in zip(q_levels, ref_levels)])
 
 
 # --------------------------------------------------------------------------
@@ -760,19 +761,21 @@ def tune_parameter(net, batches, grids: dict, attack_cfgs, *, folds: int = 3,
 # adaptive-attack evaluation
 
 
-def score_outcome(net, detectors: dict, outcome: AttackOutcome,
-                  refs: Minibatch, k: int, threshold: float = 0.5):
-    """(scores, flagged) per scenario detector for one attack outcome; a
-    failed attack has no scores and counts as flagged in both scenarios."""
-    if not outcome.success:
-        return {}, {"scenario1": True, "scenario2": True}
-    row = lid_feature_row(net, outcome.adversarial, refs, k)
-    scores = {
-        "scenario1": float(score(detectors["scenario1"], row[None, :])[0]),
-        "scenario2": float(score(detectors["scenario2"],
-                                 row[None, [net.depth - 2]])[0]),
-    }
-    return scores, {scen: s >= threshold for scen, s in scores.items()}
+def score_outcomes(net, detectors: dict, outcomes, refs: Minibatch, k: int,
+                   threshold: float = 0.5) -> list:
+    """(scores, flagged) per scenario for each attack outcome: successes are
+    scored from one ``lid_feature_row`` call, failures flagged unscored."""
+    hits = [j for j, out in enumerate(outcomes) if out.success]
+    scores = [{} for _ in outcomes]
+    if hits:
+        rows = lid_feature_row(net, np.stack([outcomes[j].adversarial
+                                              for j in hits]), refs, k)
+        for scen, cols in (("scenario1", slice(None)),
+                           ("scenario2", [net.depth - 2])):
+            for j, s in zip(hits, score(detectors[scen], rows[:, cols])):
+                scores[j][scen] = float(s)
+    return [(s, {scen: not s or s[scen] >= threshold
+                 for scen in ("scenario1", "scenario2")}) for s in scores]
 
 
 def adaptive_failure_rate(net, detectors: dict, inputs, labels,
@@ -794,9 +797,8 @@ def adaptive_failure_rate(net, detectors: dict, inputs, labels,
     outcomes, _ = run_attacks(net, inputs, labels, cfg, refs=refs)
     records = []
     failures = {"scenario1": 0, "scenario2": 0}
-    for j, out in enumerate(outcomes):
-        scores, flagged = score_outcome(net, detectors, out, refs, k,
-                                        threshold)
+    scored = score_outcomes(net, detectors, outcomes, refs, k, threshold)
+    for j, (out, (scores, flagged)) in enumerate(zip(outcomes, scored)):
         record = {"index": j, "success": bool(out.success),
                   "l2": out.l2_perturbation}
         record.update({f"score_{scen}": s for scen, s in scores.items()})

@@ -494,8 +494,8 @@ def _recipe_table4(pl: Pipeline, report: ExperimentReport) -> None:
     # plain-opt baseline on the same inputs, scored by the same detectors
     opt_outcomes, _ = run_attacks(pl.net, inputs, input_labels,
                                   cfg.attack_config(base_attack))
-    plain = [det.score_outcome(pl.net, detectors, out, pl.reference, cfg.k)[1]
-             for out in opt_outcomes]
+    plain = [flagged for _, flagged in det.score_outcomes(
+        pl.net, detectors, opt_outcomes, pl.reference, cfg.k)]
     report.tables["adaptive_failure_rates"] = [
         {"scenario": scen,
          "adaptive_failure_rate": result[f"{scen}_failure_rate"],

@@ -1,8 +1,8 @@
 """Minibatches and k-nearest-neighbor distances.
 
-Neighborhoods are always computed brute-force (every pairwise L2 distance) so
-results are exact.  ``squared_distances`` + ``nearest_distances`` are the
-batch kernel; ``distances_to`` + ``knn_profile`` are its single-query oracle.
+Neighborhoods are computed brute-force (every pairwise L2 distance).
+``squared_distances`` + ``nearest_distances`` are the batch kernel, to a bound
+it states; ``distances_to`` + ``knn_profile`` are its single-query oracle.
 """
 
 from __future__ import annotations
@@ -15,12 +15,9 @@ from .errors import DegenerateProfileError, ShapeError
 
 MINIBATCH_SOURCES = ("normal", "adversarial", "noisy")
 
-# squared_distances block size: rows * m * d <= BLOCK_FLOATS, rows >= 1
-# (rows * m below PLAIN_SUM_WIDTH, where no (rows, m, d) block is made)
-BLOCK_FLOATS = 1 << 16
-# numpy's pairwise sum adds fewer than this many terms one by one, in order,
-# so a column-by-column sum is bitwise its sum below this width
-PLAIN_SUM_WIDTH = 8
+# squared_distances blocks: rows * m * d <= BLOCK_FLOATS (one BLAS thread)
+BLOCK_FLOATS = 1 << 19
+GRAM_TOL = 1e-6  # squared_distances' recompute threshold, relative
 
 
 @dataclass(frozen=True)
@@ -115,26 +112,27 @@ def knn_profile(query, refs: Minibatch, k: int, *,
 def squared_distances(queries, refs) -> np.ndarray:
     """(n, m) squared L2 distances from query rows to reference rows.
 
-    Each is summed as ``distances_to`` sums it, so ``np.sqrt`` of row i is
-    bitwise ``distances_to(queries[i], ...)``.  Queries go in blocks.  Below
-    ``PLAIN_SUM_WIDTH`` columns numpy's sum runs in plain order, so a block
-    adds the squared column differences one column at a time, which is exact
-    and needs no (rows, m, d) temporary; width 0 gives zeros.
+    ``|q|^2 + |r|^2 - 2 q.r`` from one matrix product per block of query rows
+    errs by about (2d + 4) u (|q|^2 + |r|^2) at most (width d, u = 2^-53), so
+    entries not above ``GRAM_TOL * (|q|^2 + |r|^2)``, NaN where the norms
+    overflow included, are summed again as ``distances_to`` sums them: the
+    zeros are its zeros, and other entries are within (2d + 4) u /
+    ``GRAM_TOL`` relative.  Bits depend on the blocks.
     """
     q = np.asarray(queries, dtype=float)
     r = np.asarray(refs, dtype=float)
     if q.ndim != 2 or r.ndim != 2 or q.shape[1] != r.shape[1]:
         raise ShapeError(f"queries {q.shape} do not match references {r.shape}")
-    narrow = r.shape[1] < PLAIN_SUM_WIDTH
-    step = max(1, BLOCK_FLOATS // max(1, r.shape[0] if narrow else r.size))
-    out = np.zeros((q.shape[0], r.shape[0]))
+    step = max(1, BLOCK_FLOATS // max(1, r.size))
+    r_norms, r_neg2 = (r * r).sum(axis=1), -2.0 * r.T  # exact: a power of 2
+    out = np.empty((q.shape[0], r.shape[0]))
     for start in range(0, q.shape[0], step):
         rows, block = q[start:start + step], out[start:start + step]
-        if narrow:
-            for j in range(r.shape[1]):
-                block += (rows[:, j, None] - r[:, j]) ** 2
-        else:
-            block[...] = ((r[None, :, :] - rows[:, None, :]) ** 2).sum(axis=2)
+        scale = (rows * rows).sum(axis=1)[:, None] + r_norms
+        np.matmul(rows, r_neg2, out=block)
+        block += scale
+        i, j = np.divmod(np.flatnonzero(~(block > GRAM_TOL * scale)), len(r))
+        block[i, j] = ((r[j] - rows[i]) ** 2).sum(axis=1)
     return out
 
 
@@ -142,10 +140,10 @@ def nearest_distances(sq: np.ndarray, k: int, *,
                       exclude_self: bool = False) -> np.ndarray:
     """(n, k) ascending nearest distances, from squared distances.
 
-    Row i is bitwise ``knn_profile(query_i, refs, k, exclude_self=...)
-    .distances``: ``exclude_self`` skips a row's zero distances and raises
-    ValueError if fewer than k remain; otherwise zeros stay in.  The first
-    k' columns are the answer for every k' <= k.
+    Row i is ``knn_profile(query_i, refs, k, exclude_self=...).distances``
+    to ``sq``'s bound, with the same zeros: ``exclude_self`` skips a row's
+    zero distances and raises ValueError if fewer than k remain; otherwise
+    zeros stay in.  The first k' columns are the answer for every k' <= k.
 
     The partial sort and the square root run in place in one copy of ``sq``,
     which the call leaves unchanged.

@@ -1,13 +1,14 @@
 """Feature matrices, logistic-regression detectors, and ranking evaluation."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidkit import detector
+from lidkit import detector, neighborhood
 from lidkit.attacks import AttackConfig
 from lidkit.characteristics import BuConfig, KdConfig, kernel_density, mle_lid
 from lidkit.detector import (FEATURE_KINDS, FeatureMatrix, _cv_auc,
@@ -483,23 +484,47 @@ def test_failed_attacks_keep_negative_rows_only(moons_net, moons_batch):
         features_from(art, "lid", k=10)
 
 
+def _widest(net):
+    return max(max(spec.in_dim, spec.out_dim) for spec in net.layers)
+
+
+def _assert_within_kernel_bound(got, want, kind, width):
+    """LID or KD values against their single-query oracle, under the
+    distance kernel's contract: the same zeros, and otherwise what its
+    relative bound on a squared distance, rel = (2d + 4) u / GRAM_TOL,
+    allows.  A distance moves by at most rel / 2 relative, so an LID
+    estimate k / |sum log(r_i / r_k)| moves by at most rel * LID^2 to first
+    order; the factor 2 leaves room for second-order terms and the oracle's
+    own rounding.  A KD affinity exp(-x) moves by at most x e^-x rel <=
+    rel / e absolutely, and so does a mean of them."""
+    rel = (2 * width + 4) * 2.0 ** -53 / neighborhood.GRAM_TOL
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    tol = 2 * rel * want ** 2 if kind == "lid" else rel
+    assert np.all(np.abs(got - want) <= tol)
+
+
 def test_single_example_feature_row_matches_profile_math(moons_net,
                                                          moons_data):
     refs = Minibatch(member_ids=np.arange(40, 80),
                      vectors=moons_data.features[40:80])
     ref_levels = activations_batch(moons_net, refs.vectors)
-    for x, k in ((moons_data.features[5], 8), (moons_data.features[90], 2),
-                 (moons_data.features[5], 40)):
-        row = lid_feature_row(moons_net, x, refs, k=k)
-        assert row.shape == (moons_net.depth,)
-        for i, q in enumerate(forward_capture(moons_net, x).per_layer):
-            level_refs = Minibatch(member_ids=np.arange(40),
-                                   vectors=ref_levels[i])
-            assert row[i] == mle_lid(knn_profile(q, level_refs, k)).value
+    xs = moons_data.features[[5, 90]]
+    for k in (8, 2, 40):
+        rows = lid_feature_row(moons_net, xs, refs, k=k)
+        assert rows.shape == (len(xs), moons_net.depth)
+        for x, row in zip(xs, rows):
+            alone = lid_feature_row(moons_net, x[None], refs, k=k)
+            assert alone.shape == (1, moons_net.depth)
+            want = np.array([mle_lid(knn_profile(q, Minibatch(
+                member_ids=np.arange(40), vectors=ref_levels[i]), k)).value
+                for i, q in enumerate(forward_capture(moons_net, x).per_layer)])
+            for got in (row, alone[0]):
+                _assert_within_kernel_bound(got, want, "lid",
+                                            _widest(moons_net))
     # held-out rows never exclude: an example inside the reference batch
     # meets itself at distance zero
     with pytest.raises(DegenerateProfileError):
-        lid_feature_row(moons_net, moons_data.features[41], refs, k=8)
+        lid_feature_row(moons_net, moons_data.features[41:42], refs, k=8)
 
 
 def _oracle_features(art, kind, k, kd, reference):
@@ -550,7 +575,7 @@ def test_batch_features_equal_single_query_oracles(kind, mode, moons_net,
     kd = KdConfig(bandwidth_sigma=0.3)
     got = features_from(art, kind, 7, kd=kd, reference=reference).features
     want = _oracle_features(art, kind, 7, kd, reference)
-    assert got.tobytes() == want.tobytes()
+    _assert_within_kernel_bound(got, want, kind, _widest(moons_net))
     if kind == "kd" and mode == "heldout":
         assert np.any(got == 0.0)
 
@@ -638,7 +663,8 @@ def test_sweep_blocks_equal_features_from_and_the_oracles(data, mode,
         assert fm.features.tobytes() == one.features.tobytes()
         assert fm.provenance == one.provenance
         want = _oracle_features(art, "lid", k, None, reference)
-        assert fm.features.tobytes() == want.tobytes()
+        _assert_within_kernel_bound(fm.features, want, "lid",
+                                    _widest(moons_net))
     swept = features_sweep(art, "kd", [ks[0]], sigmas, reference=reference)
     assert len(swept) == len(sigmas)
     for sigma, fm in zip(sigmas, swept):
@@ -646,7 +672,8 @@ def test_sweep_blocks_equal_features_from_and_the_oracles(data, mode,
         one = features_from(art, "kd", ks[0], kd=kd, reference=reference)
         assert fm.features.tobytes() == one.features.tobytes()
         want = _oracle_features(art, "kd", None, kd, reference)
-        assert fm.features.tobytes() == want.tobytes()
+        _assert_within_kernel_bound(fm.features, want, "kd",
+                                    _widest(moons_net))
     if reference is None:
         # a max k past the neighbours a train-mode row has left
         with pytest.raises(ValueError, match="k must be") as one:
@@ -750,6 +777,43 @@ def test_adaptive_rate_needs_both_scenario_detectors(blob_net):
     with pytest.raises(ValueError, match="at least one input"):
         adaptive_failure_rate(blob_net, both, [], [], refs=None,
                               attack_cfg=AttackConfig(kind="opt"))
+
+
+def test_outcomes_are_scored_from_one_feature_call(moons_net, moons_data,
+                                                   fgm_art, monkeypatch):
+    refs = Minibatch(member_ids=np.arange(40, 80),
+                     vectors=moons_data.features[40:80])
+    lid = features_from(fgm_art, "lid", 8)
+    pre = [moons_net.depth - 2]
+    detectors = {"scenario1": train_detector(lid),
+                 "scenario2": train_detector(_fm(lid.features[:, pre],
+                                                 lid.labels, lid.provenance))}
+    # every third attack failed
+    outcomes = [replace(out, success=False) if j % 3 == 0 else out
+                for j, out in enumerate(fgm_art.outcomes)]
+    stacks = []
+    real = detector.lid_feature_row
+
+    def lid_feature_row(net, xs, reference, k):
+        stacks.append(len(xs))
+        return real(net, xs, reference, k)
+
+    monkeypatch.setattr(detector, "lid_feature_row", lid_feature_row)
+    got = detector.score_outcomes(moons_net, detectors, outcomes, refs, 8)
+    # one reference forward pass and one distance matrix per level
+    assert stacks == [sum(out.success for out in outcomes)]
+    for out, (scores, flagged) in zip(outcomes, got):
+        if not out.success:
+            assert scores == {}
+            assert flagged == {"scenario1": True, "scenario2": True}
+            continue
+        row = real(moons_net, out.adversarial[None], refs, 8)
+        alone = {"scenario1": score(detectors["scenario1"], row)[0],
+                 "scenario2": score(detectors["scenario2"], row[:, pre])[0]}
+        for scen, s in alone.items():
+            # scored alone, its activations and distances round differently
+            assert scores[scen] == pytest.approx(s, rel=1e-9, abs=0.0)
+            assert flagged[scen] == (scores[scen] >= 0.5)
 
 
 def test_feature_kind_list_is_closed():

@@ -14,7 +14,9 @@ A change that means to move the numbers regenerates the goldens with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
-and states the per-cell AUC deltas in CHANGES.md.
+and states the per-cell AUC deltas in CHANGES.md.  Before it overwrites a
+golden report, ``--regenerate`` prints the largest absolute change of each
+numeric column of every table and series against it.
 """
 
 from __future__ import annotations
@@ -162,6 +164,31 @@ def test_combined_features_match_golden(attack, split, golden, features):
                     np.testing.assert_array_equal(features[key], want[key])
 
 
+def report_deltas(got: dict, want: dict) -> list:
+    """One line per column of every table and series in two reports: the
+    largest absolute change of its numeric cells from ``want`` to ``got``,
+    or a note that its rows, columns or other values changed."""
+    lines = []
+    for part in ("tables", "series"):
+        for title in sorted(set(want[part]) | set(got[part])):
+            old, new = want[part].get(title, []), got[part].get(title, [])
+            if (len(old) != len(new)
+                    or any(o.keys() != n.keys() for o, n in zip(old, new))):
+                lines.append(f"{part}.{title}: rows or columns changed")
+                continue
+            for key in sorted({key for row in old for key in row}):
+                pairs = [(o[key], n[key]) for o, n in zip(old, new)
+                         if key in o]
+                if all(type(v) in (int, float) for pair in pairs
+                       for v in pair):
+                    change = max(abs(n - o) for o, n in pairs)
+                    lines.append(f"{part}.{title}.{key}: largest change "
+                                 f"{change:.3g}")
+                elif any(o != n for o, n in pairs):
+                    lines.append(f"{part}.{title}.{key}: values changed")
+    return lines
+
+
 def regenerate() -> None:
     import tempfile
 
@@ -170,7 +197,12 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in RECIPES:
             data = report_bytes(name, Path(tmp) / name)
-            (GOLDEN / f"{name}.report.json").write_bytes(data)
+            path = GOLDEN / f"{name}.report.json"
+            if path.exists():
+                for line in report_deltas(json.loads(data),
+                                          json.loads(path.read_text())):
+                    print(f"{name} {line}")
+            path.write_bytes(data)
             reports[name] = _sha(data)
     arrays = feature_arrays()
     np.savez_compressed(GOLDEN / "features.npz", **arrays)

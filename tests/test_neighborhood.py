@@ -172,13 +172,27 @@ def _cloud(rng, rows, width, style):
     return rng.random((rows, width)) * 10.0 ** rng.uniform(-3, 3)
 
 
+def _gram_rtol(width):
+    """Relative bound on a distance the kernel does not recompute: the Gram
+    form's (2d + 4) u over ``GRAM_TOL`` (``squared_distances``' docstring).
+    It bounds the squared distance; the square root halves it, which leaves
+    room for the oracle's own rounding, a few u."""
+    return (2 * width + 4) * 2.0 ** -53 / neighborhood.GRAM_TOL
+
+
+def _assert_kernel_contract(got, want, width):
+    """``got`` holds ``want``'s zeros exactly and is within the kernel's
+    bound of every other value."""
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=_gram_rtol(width), atol=0.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        style=st.sampled_from(["grid", "tenths", "continuous"]),
        exclude_self=st.booleans(),
        blocks=st.sampled_from(["one", "few", "all"]))
-def test_kernel_rows_equal_knn_profile_bitwise(seed, style, exclude_self,
-                                               blocks):
+def test_kernel_rows_match_knn_profile(seed, style, exclude_self, blocks):
     rng = np.random.default_rng(seed)
     width = int(rng.integers(1, 70))
     refs = _cloud(rng, int(rng.integers(1, 30)), width, style)
@@ -203,10 +217,10 @@ def test_kernel_rows_equal_knn_profile_bitwise(seed, style, exclude_self,
                 nearest_distances(sq, k, exclude_self=exclude_self)
             return
         got = nearest_distances(sq, k, exclude_self=exclude_self)
-    assert got.tobytes() == want.tobytes()
-    for q, row in zip(queries, sq):
-        assert np.sqrt(row).tobytes() == distances_to(
-            q, Minibatch(member_ids=np.arange(len(refs)), vectors=refs)).tobytes()
+    _assert_kernel_contract(got, want, width)
+    batch = Minibatch(member_ids=np.arange(len(refs)), vectors=refs)
+    _assert_kernel_contract(np.sqrt(sq), np.array(
+        [distances_to(q, batch) for q in queries]), width)
 
 
 def test_kernel_block_holds_one_query_for_wide_references():
@@ -215,7 +229,29 @@ def test_kernel_block_holds_one_query_for_wide_references():
     refs = rng.random((neighborhood.BLOCK_FLOATS // width + 1, width))
     queries = rng.random((3, width))
     got = nearest_distances(squared_distances(queries, refs), 5)
-    np.testing.assert_array_equal(got, _oracle_rows(queries, refs, 5, False))
+    _assert_kernel_contract(got, _oracle_rows(queries, refs, 5, False), width)
+
+
+def test_kernel_recomputes_cancelled_entries_exactly():
+    # near-duplicates far from the origin: |q|^2 + |r|^2 is about 1.3e10
+    # and a distance about 1e-5, so the Gram form alone keeps no digit of it
+    rng = np.random.default_rng(7)
+    width = 64
+    refs = 1e4 + 1e-6 * rng.standard_normal((20, width))
+    refs = np.vstack([refs, refs[[2, 2, 9]], np.zeros((1, width))])
+    queries = np.vstack([1e4 + 1e-6 * rng.standard_normal((6, width)),
+                         refs[[2, 9, 0]]])
+    batch = Minibatch(member_ids=np.arange(len(refs)), vectors=refs)
+    want = np.array([distances_to(q, batch) for q in queries])
+    scale = (queries ** 2).sum(axis=1)[:, None] + (refs ** 2).sum(axis=1)
+    # far below the threshold, so the kernel must have recomputed these
+    below = want ** 2 <= neighborhood.GRAM_TOL * scale / 2
+    assert below.sum() == len(queries) * (len(refs) - 1)
+    got = np.sqrt(squared_distances(queries, refs))
+    assert got[below].tobytes() == want[below].tobytes()
+    np.testing.assert_array_equal(np.count_nonzero(got == 0.0, axis=1),
+                                  np.count_nonzero(want == 0.0, axis=1))
+    _assert_kernel_contract(got, want, width)
 
 
 def test_kernel_exclusion_needs_k_distances_left():
@@ -237,10 +273,24 @@ def test_kernel_shape_validation():
         squared_distances(np.ones(3), np.ones((4, 3)))
 
 
-@pytest.mark.parametrize("width", range(11))
+def test_kernel_sums_exactly_where_the_norms_overflow():
+    # |q|^2 overflows to inf, so the Gram form gives inf - inf = NaN on the
+    # diagonal; the recompute must give distances_to's zero there
+    refs = np.array([[1e160] * 3, [0.0] * 3, [1e160, 1e160, 2e160],
+                     [1.0, 2.0, 3.0]])
+    queries = refs[[0, 1, 3]]
+    batch = Minibatch(member_ids=np.arange(len(refs)), vectors=refs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([distances_to(q, batch) for q in queries])
+        got = np.sqrt(squared_distances(queries, refs))
+    assert got.tobytes() == want.tobytes()
+    assert want[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("width", range(71))
 def test_kernel_rows_equal_distances_to_at_narrow_widths(width):
-    # widths 1-7 take the column-by-column sum, 8 and up the summed blocks,
-    # and width 0 gives zeros
+    # every width the default net has (2 to 64) and past it; width 0 gives
+    # zeros
     rng = np.random.default_rng(width)
     for style in ("grid", "tenths", "continuous"):
         refs = _cloud(rng, 12, width, style)
@@ -251,6 +301,6 @@ def test_kernel_rows_equal_distances_to_at_narrow_widths(width):
         for block in (1, neighborhood.BLOCK_FLOATS):
             with mock.patch.object(neighborhood, "BLOCK_FLOATS", block):
                 got = np.sqrt(squared_distances(queries, refs))
-            assert got.tobytes() == want.tobytes()
+            _assert_kernel_contract(got, want, width)
     if width == 0:
         assert not got.any()
