@@ -22,15 +22,18 @@ Attack kinds:
              weighted by a binary-searched constant alpha
 
 The iterated attacks step on ``microgradnet.forward_row`` and
-``backprop_row``: one unchecked forward per iterate serves its prediction and
-its gradient or Jacobian, with the arithmetic of the checked wrappers, so the
-outcomes are bitwise those of stepping through ``predict`` and
-``input_gradient``.
+``backprop_row``: each iterate runs as a 1-D row through the batch forward
+pass, and that one unchecked forward serves its prediction and its gradient or
+Jacobian.  The steps keep the checked wrappers' arithmetic (a norm is
+``np.linalg.norm``'s ``sqrt(dot(g, g))``, the opt runner-up an ``argmax`` with
+the label masked to -inf), so the outcomes are bitwise those of stepping
+through ``predict`` and ``input_gradient``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -118,10 +121,6 @@ def _finish(net, x, label, adv, iterations) -> AttackOutcome:
     )
 
 
-def _clip(v, cfg: AttackConfig):
-    return np.clip(v, cfg.clip_min, cfg.clip_max)
-
-
 # --------------------------------------------------------------------------
 # single-step and iterated gradient attacks
 
@@ -134,7 +133,8 @@ def fgm(net, x, label: int, cfg: AttackConfig) -> AttackOutcome:
     if norm == 0.0:
         raise NoDirectionError("input gradient is exactly zero")
     step = cfg.epsilon * np.sign(g) if cfg.sign_step else cfg.epsilon * g / norm
-    return _finish(net, x, label, _clip(x + step, cfg), 1)
+    return _finish(net, x, label,
+                   np.clip(x + step, cfg.clip_min, cfg.clip_max), 1)
 
 
 def _bim(net, x, label, cfg, stop_early):
@@ -151,13 +151,13 @@ def _bim(net, x, label, cfg, stop_early):
         if stop_early and iterations and levels[-1].argmax() != label:
             break
         g = microgradnet.cross_entropy_gradient(net, levels, label)
-        norm = float(np.linalg.norm(g))
+        norm = math.sqrt(np.dot(g, g))  # np.linalg.norm's arithmetic
         if norm == 0.0:
             if iterations == 0:
                 raise NoDirectionError("input gradient is exactly zero")
             break  # gradient died mid-path; keep the partial perturbation
         step = step_size * np.sign(g) if cfg.sign_step else step_size * g / norm
-        cur = _clip(cur + step, cfg)
+        cur = (cur + step).clip(cfg.clip_min, cfg.clip_max)
         iterations += 1
     return _finish(net, x, label, cur, iterations)
 
@@ -274,7 +274,8 @@ def _opt_descent(net, x, label, cfg, c, alpha, presoftmax_refs, k, w0):
     lo, hi = cfg.clip_min, cfg.clip_max
     span = hi - lo
     logits_index = net.depth - 2
-    others = np.delete(np.arange(net.output_dim), label)
+    is_label = np.arange(net.output_dim) == label
+    hinge = np.zeros(net.output_dim)  # zero outside the two entries a step sets
     w = w0.copy()
     best = None
     for _ in range(cfg.max_iters):
@@ -284,14 +285,14 @@ def _opt_descent(net, x, label, cfg, c, alpha, presoftmax_refs, k, w0):
         levels = microgradnet.forward_row(net, xt)
         logits = levels[logits_index]
         # the hinge's runner-up: the first largest logit other than label's
-        runner = others[logits[others].argmax()]
+        runner = np.where(is_label, -np.inf, logits).argmax()
         margin = float(logits[label] - logits[runner])
         lid = None
         lid_cot = None
         if alpha > 0.0:
             lid, lid_cot = _lid_value_and_cotangent(logits, presoftmax_refs, k)
         if levels[-1].argmax() != label:
-            l2 = float(np.linalg.norm(delta))
+            l2 = math.sqrt(np.dot(delta, delta))
             # rank successful iterates by the attack objective itself so the
             # penalty-free limit (alpha -> 0) selects exactly like plain opt;
             # iterates whose penalty is unevaluable rank last but still count
@@ -300,17 +301,14 @@ def _opt_descent(net, x, label, cfg, c, alpha, presoftmax_refs, k, w0):
             if best is None or key < best["key"]:
                 best = {"key": key, "adversarial": xt, "lid": lid}
         grad_x = 2.0 * delta
-        if margin > 0.0 or lid_cot is not None:
-            # d(margin)/d(logits) is +1 at label and -1 at the runner-up
-            cot = np.zeros(logits.shape[0])
-            if margin > 0.0:
-                cot[label] = c
-                cot[runner] = -c
-            if lid_cot is not None:
-                cot += alpha * lid_cot
-            if cot.any():
-                grad_x = grad_x + microgradnet.backprop_row(
-                    net, levels, logits_index, cot)
+        if margin > 0.0:  # d(margin)/d(logits): +1 at label, -1 at runner-up
+            hinge[label], hinge[runner] = c, -c
+        cot = hinge if lid_cot is None else hinge + alpha * lid_cot
+        # the hinge alone is nonzero exactly when it is active
+        if (margin > 0.0) if lid_cot is None else cot.any():
+            grad_x = grad_x + microgradnet.backprop_row(
+                net, levels, logits_index, cot)
+        hinge[label] = hinge[runner] = 0.0
         grad_w = grad_x * span * (1.0 - t ** 2) / 2.0
         w -= cfg.opt_learning_rate * grad_w
     return best, cfg.max_iters

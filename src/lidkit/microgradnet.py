@@ -153,11 +153,11 @@ def _dropout_masks(net: Network, seed: int) -> dict:
 
 def _forward_rows(net: Network, x: np.ndarray, masks=None, weights=None,
                   biases=None) -> list:
-    """Run a batch ``x`` of shape (n, in_dim) through the net.
+    """Run one row ``x`` of shape (in_dim,) or a batch (n, in_dim) through the net.
 
-    Returns all depth levels as (n, d_i) arrays.  ``masks`` of None means
-    deterministic dropout scaling.  ``weights`` and ``biases`` replace the
-    net's own parameter lists, as a training step's do.
+    Returns all depth levels, each with ``x``'s leading shape.  ``masks`` of
+    None means deterministic dropout scaling.  ``weights`` and ``biases``
+    replace the net's own parameter lists, as a training step's do.
     """
     weights = net.weights if weights is None else weights
     biases = net.biases if biases is None else biases
@@ -165,7 +165,7 @@ def _forward_rows(net: Network, x: np.ndarray, masks=None, weights=None,
     a = x
     for i, spec in enumerate(net.layers):
         if spec.kind == "dense":
-            a = a @ weights[i].T + biases[i]
+            a = a.dot(weights[i].T) + biases[i]
         elif spec.kind == "relu":
             a = np.maximum(a, 0.0)
         elif spec.kind == "dropout":
@@ -174,22 +174,22 @@ def _forward_rows(net: Network, x: np.ndarray, masks=None, weights=None,
             else:
                 a = a * masks[i]
         else:  # softmax
-            z = a - a.max(axis=1, keepdims=True)
+            z = a - a.max(axis=-1, keepdims=True)
             e = np.exp(z)
-            a = e / e.sum(axis=1, keepdims=True)
+            a = e / e.sum(axis=-1, keepdims=True)
         acts.append(a)
     return acts
 
 
 def forward_row(net: Network, x: np.ndarray, masks=None) -> list:
-    """Every activation level of one row ``x`` of shape (in_dim,), as 1-D views.
+    """Every activation level of one row ``x`` of shape (in_dim,), as 1-D arrays.
 
-    The arithmetic is ``_forward_rows(net, x[None, :], masks)`` exactly: each
-    dense layer is a (1, d) matmul, because a 1-D ``W @ x`` may round
-    differently.  No validation, so callers on a hot path pay only for the
-    pass itself.
+    They are bitwise the rows of ``activations_batch`` on ``x[None, :]``:
+    ``np.dot`` hands a 1-D ``x`` and a (1, d) row to the same BLAS call, and
+    the softmax reduces over the last axis either way.  No validation, so
+    callers on a hot path pay only for the pass itself.
     """
-    return [a[0] for a in _forward_rows(net, x[None, :], masks)]
+    return _forward_rows(net, x, masks)
 
 
 def as_row(net: Network, x) -> np.ndarray:
@@ -200,6 +200,16 @@ def as_row(net: Network, x) -> np.ndarray:
             f"expected input of shape ({net.input_dim},), got {x.shape}"
         )
     return x
+
+
+def _as_batch(net: Network, xs) -> np.ndarray:
+    """``xs`` as a float input batch, or ShapeError unless it is (n, in_dim)."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != net.input_dim:
+        raise ShapeError(
+            f"expected batch of shape (n, {net.input_dim}), got {xs.shape}"
+        )
+    return xs
 
 
 def _masks_for(net: Network, mode: str, seed: int | None):
@@ -238,12 +248,7 @@ def activations_batch(net: Network, xs: np.ndarray, mode: str = "deterministic",
     would, and values agree to floating-point rounding (BLAS may sum matmul
     products in a different order for different row counts).
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != net.input_dim:
-        raise ShapeError(
-            f"expected batch of shape (n, {net.input_dim}), got {xs.shape}"
-        )
-    return _forward_rows(net, xs, _masks_for(net, mode, seed))
+    return _forward_rows(net, _as_batch(net, xs), _masks_for(net, mode, seed))
 
 
 def predict(net: Network, x) -> int:
@@ -251,24 +256,12 @@ def predict(net: Network, x) -> int:
 
 
 def predict_batch(net: Network, xs: np.ndarray) -> np.ndarray:
-    return np.argmax(_forward_rows(net, np.asarray(xs, dtype=float))[-1], axis=1)
+    """Predicted class of every row of an (n, in_dim) batch; ShapeError otherwise."""
+    return np.argmax(_forward_rows(net, _as_batch(net, xs))[-1], axis=1)
 
 
 # --------------------------------------------------------------------------
 # backward passes
-
-
-def _layer_vjp(net: Network, index: int, per_layer, g: np.ndarray) -> np.ndarray:
-    """Pull a cotangent at the output of layer ``index`` back to its input."""
-    spec = net.layers[index]
-    if spec.kind == "dense":
-        return net.weights[index].T @ g
-    if spec.kind == "relu":
-        return g * (per_layer[index] > 0.0)
-    if spec.kind == "dropout":
-        return g * (1.0 - spec.dropout_rate)
-    p = per_layer[index + 1]
-    return p * (g - np.dot(g, p))
 
 
 def backprop_row(net: Network, levels, index: int,
@@ -276,7 +269,16 @@ def backprop_row(net: Network, levels, index: int,
     """``backprop_to_input`` without its checks, for ``forward_row`` levels."""
     g = cotangent
     for li in range(index - 1, -1, -1):
-        g = _layer_vjp(net, li, levels, g)
+        spec = net.layers[li]
+        if spec.kind == "dense":
+            g = g.dot(net.weights[li])
+        elif spec.kind == "relu":
+            g = g * (levels[li] > 0.0)
+        elif spec.kind == "dropout":
+            g = g * (1.0 - spec.dropout_rate)
+        else:  # softmax, whose output is level li + 1
+            p = levels[li + 1]
+            g = p * (g - np.dot(g, p))
     return g
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from lidkit.errors import NumericOverflowError, ShapeError
-from lidkit.harness.config import parse_layers
+from lidkit.harness.config import default_layers, parse_layers
 from lidkit.microgradnet import (CrossEntropy, LayerSpec, Network, SgdConfig,
-                                 activations_batch, backprop_to_input,
-                                 forward_capture, from_json_dict,
+                                 activations_batch, backprop_row,
+                                 backprop_to_input, forward_capture,
+                                 forward_row, from_json_dict,
                                  init_network, input_gradient, load_network,
                                  logit_jacobian, predict, predict_batch,
                                  save_network, to_json_dict, train_sgd)
@@ -146,6 +147,105 @@ def test_predict_batch_matches_singles(blob_net, blob_data):
     xs = blob_data.features[:10]
     singles = [predict(blob_net, x) for x in xs]
     np.testing.assert_array_equal(predict_batch(blob_net, xs), singles)
+
+
+def test_predict_batch_takes_only_a_batch_of_input_width(blob_net):
+    with pytest.raises(ShapeError):
+        predict_batch(blob_net, np.zeros(2))  # one row, not a batch of one
+    with pytest.raises(ShapeError):
+        predict_batch(blob_net, np.zeros((3, 5)))
+
+
+# --------------------------------------------------------------------------
+# the row path against the batch path and the per-layer backward pass
+
+
+def _default_net(n_classes, input_dim, seed=3):
+    """The default architecture, Glorot weights and small random biases."""
+    net = init_network(parse_layers(default_layers(n_classes), input_dim), seed)
+    rng = np.random.default_rng(seed)
+    biases = [None if b is None else rng.normal(0.0, 0.1, b.shape)
+              for b in net.biases]
+    return Network(layers=net.layers, weights=net.weights, biases=biases)
+
+
+def _layer_vjp(net, index, per_layer, g):
+    """Pull a cotangent at the output of layer ``index`` back to its input:
+    the per-layer step that ``backprop_row`` runs inline."""
+    spec = net.layers[index]
+    if spec.kind == "dense":
+        return net.weights[index].T @ g
+    if spec.kind == "relu":
+        return g * (per_layer[index] > 0.0)
+    if spec.kind == "dropout":
+        return g * (1.0 - spec.dropout_rate)
+    p = per_layer[index + 1]
+    return p * (g - np.dot(g, p))
+
+
+def _matmul_levels(net, xs):
+    """Deterministic levels of an (n, in_dim) batch with ``xs @ W.T`` layers."""
+    levels = [xs]
+    for spec, w, b in zip(net.layers, net.weights, net.biases):
+        a = levels[-1]
+        if spec.kind == "dense":
+            a = a @ w.T + b
+        elif spec.kind == "relu":
+            a = np.maximum(a, 0.0)
+        elif spec.kind == "dropout":
+            a = a * (1.0 - spec.dropout_rate)
+        else:
+            e = np.exp(a - a.max(axis=1, keepdims=True))
+            a = e / e.sum(axis=1, keepdims=True)
+        levels.append(a)
+    return levels
+
+
+NETS = [(c, d) for c in (2, 3) for d in (1, 2, 100)]
+
+
+@pytest.mark.parametrize("n_classes,input_dim", NETS)
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_forward_row_is_bitwise_the_batch_of_one(n_classes, input_dim, mode):
+    net = _default_net(n_classes, input_dim)
+    seed = 11 if mode == "stochastic" else None
+    for x in np.random.default_rng(input_dim).random((40, input_dim)):
+        batch = activations_batch(net, x[None, :], mode=mode, seed=seed)
+        row = forward_capture(net, x, mode=mode, seed=seed).per_layer
+        assert len(row) == len(batch) == net.depth
+        for r, b in zip(row, batch):
+            assert r.shape == b[0].shape
+            assert r.tobytes() == b[0].tobytes()
+
+
+@pytest.mark.parametrize("n_classes,input_dim", NETS)
+def test_forward_pass_is_bitwise_its_matmul_form(n_classes, input_dim):
+    net = _default_net(n_classes, input_dim)
+    xs = np.random.default_rng(input_dim).random((40, input_dim))
+    for n in (1, 2, 40):
+        got = activations_batch(net, xs[:n])
+        assert all(g.tobytes() == w.tobytes()
+                   for g, w in zip(got, _matmul_levels(net, xs[:n]), strict=True))
+    for x in xs:
+        assert all(r.tobytes() == w[0].tobytes() for r, w in
+                   zip(forward_row(net, x), _matmul_levels(net, x[None, :]),
+                       strict=True))
+
+
+@pytest.mark.parametrize("n_classes,input_dim", NETS)
+def test_backprop_row_is_bitwise_the_per_layer_loop(n_classes, input_dim):
+    net = _default_net(n_classes, input_dim)
+    rng = np.random.default_rng(input_dim)
+    for x in rng.random((40, input_dim)):
+        levels = forward_row(net, x)
+        # seeded at the logits, and at the softmax output for its own VJP
+        for index in (net.depth - 2, net.depth - 1):
+            cot = rng.normal(size=n_classes)
+            want = cot
+            for li in range(index - 1, -1, -1):
+                want = _layer_vjp(net, li, levels, want)
+            got = backprop_row(net, levels, index, cot)
+            assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------
