@@ -3,13 +3,13 @@
 The centerpiece is the maximum-likelihood LID estimate from a neighborhood
 distance profile:
 
-    lid(x) = - ( (1/k) * sum_i log(r_i / r_k) )^(-1)
+    lid(x) = -((1/k) sum_i log(r_i / r_k))^-1 = -(mean_i log r_i - log r_k)^-1
 
-with r_1 <= ... <= r_k the profile distances.  It depends only on distance
-ratios, so it is invariant to rescaling all distances by a positive constant.
-The kernel density and uncertainty signals are the classic comparison points:
-a class-conditional Gaussian-kernel score and the variance of stochastic
-dropout predictions.
+with r_1 <= ... <= r_k the profile distances, invariant to rescaling them all
+by a positive constant.  ``lid_of_distances`` takes the second form for every
+k of a sweep from one ``log`` of the sorted distances.  The kernel density and
+uncertainty signals are the classic comparison points: a class-conditional
+Gaussian-kernel score and the variance of stochastic dropout predictions.
 """
 
 from __future__ import annotations
@@ -71,23 +71,24 @@ def mle_lid(profile: DistanceProfile, layer_index: int = 0) -> LidEstimate:
                        layer_index=layer_index)
 
 
-def lid_of_distances(sorted_distances: np.ndarray) -> np.ndarray:
-    """Row-wise LID for pre-sorted (n, k) neighbor distances.
-
-    Vectorized companion to mle_lid for feature extraction over whole
-    batches; identical math, same degeneracy rules.
-    """
+def lid_of_distances(sorted_distances: np.ndarray, ks) -> np.ndarray:
+    """(len(ks), n) LID at each k in ``ks`` (1..K, any order) of ascending
+    (n, K) distance rows, from one ``log``: -1/m, m the mean of the first k
+    logs less the k-th, so row v reads ``d[:, :ks[v]]`` alone.  A zero first
+    distance raises DegenerateProfileError.  A prefix of equal logs (their
+    mean may round below the last) or m >= 0 raises InfiniteEstimateError,
+    so every value returned is finite and positive."""
     d = np.asarray(sorted_distances, dtype=float)
-    if d.ndim != 2:
-        raise ShapeError("expected a (n, k) array of sorted distances")
-    if np.any(d[:, 0] <= 0.0) or np.any(d[:, -1] <= 0.0):
+    if d.ndim != 2 or not all(1 <= k <= d.shape[1] for k in ks):
+        raise ShapeError("expected (n, K) sorted distances and ks in 1..K")
+    if np.any(d[:, 0] <= 0.0):
         raise DegenerateProfileError("zero distance inside a profile")
-    log_ratio = d / d[:, -1:]
-    np.log(log_ratio, out=log_ratio)  # one (n, k) temporary, not two
-    mean_log_ratio = np.mean(log_ratio, axis=1)
-    if np.any(mean_log_ratio == 0.0):
+    logs = np.log(d)
+    m = np.array([logs[:, :k].mean(axis=1) - logs[:, k - 1] for k in ks])
+    tied = logs[:, np.subtract(ks, 1)].T == logs[:, 0]
+    if np.any(tied | (m >= 0.0)):
         raise InfiniteEstimateError("all neighbor distances are equal")
-    return -1.0 / mean_log_ratio
+    return -1.0 / m
 
 
 def kernel_density(query, class_refs: np.ndarray, config: KdConfig) -> float:

@@ -250,11 +250,10 @@ def _reference_levels(art: BatchArtifacts, reference):
     return levels, np.argmax(levels[-1], axis=1)
 
 
-def _lid_columns(sq: np.ndarray, ks, exclude_self: bool) -> list:
-    """(n,) LID of each query row for every k in ``ks``, from one
-    squared-distance matrix sorted once."""
+def _lid_columns(sq: np.ndarray, ks, exclude_self: bool) -> np.ndarray:
+    """(len(ks), n) LID of each query row at each k, from one sort of sq."""
     near = nearest_distances(sq, max(ks), exclude_self=exclude_self)
-    return [lid_of_distances(near[:, :k]) for k in ks]
+    return lid_of_distances(near, ks)
 
 
 def _kd_columns(sq: np.ndarray, pred, ref_pred, kds, exclude: bool):
@@ -283,17 +282,18 @@ def _sweep_blocks(art: BatchArtifacts, ks, kds, reference):
     and ``kd[source][v]`` the KD block for ``kds[v]``.
 
     Each (source, level) computes one distance matrix, however many values
-    there are; LID sorts it in place and reads the first k columns for each
-    k.  KD gathers one block per predicted class, its queries against the
-    same-class references, and takes one ``exp`` and one row-wise mean per
-    sigma; a query whose class has no reference left scores 0 (the
-    empty-neighborhood limit).  In training mode a normal query leaves out
-    every reference at distance zero from it, for LID and KD alike: its own
-    row and exact duplicates.  KD masks and reshapes together the rows of a
-    block that keep the same number of references, which is usually every
-    row, less its own; a row with duplicates keeps fewer and joins a smaller
-    group.  Each row-wise mean is bitwise the mean over that row alone.  The
-    scalar oracles agree to ``squared_distances``' bound, zeros exactly.
+    there are.  LID sorts it once to the largest k and estimates every k
+    from one ``log`` (``lid_of_distances``).  KD gathers one block per
+    predicted class, its queries against the same-class references, and
+    takes one ``exp`` and one row-wise mean per sigma; a query whose class
+    has no reference left scores 0 (the empty-neighborhood limit).  In
+    training mode a normal query leaves out every reference at distance
+    zero from it, for LID and KD alike: its own row and exact duplicates.
+    KD masks and reshapes together the rows of a block that keep the same
+    number of references, which is usually every row, less its own; a row
+    with duplicates keeps fewer and joins a smaller group.  Each row-wise
+    mean is bitwise the mean over that row alone.  The scalar oracles agree
+    to ``squared_distances``' bound, zeros exactly.
     """
     ref_levels, ref_pred = _reference_levels(art, reference)
     shape = (len(art.batch), art.net.depth)
@@ -307,8 +307,7 @@ def _sweep_blocks(art: BatchArtifacts, ks, kds, reference):
                 kd[source][:, :, i] = _kd_columns(sq, art.preds[source],
                                                   ref_pred, kds, exclude)
             if ks:
-                for v, column in enumerate(_lid_columns(sq, ks, exclude)):
-                    lid[source][v, :, i] = column
+                lid[source][:, :, i] = _lid_columns(sq, ks, exclude)
     return lid, kd
 
 

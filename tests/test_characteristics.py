@@ -76,18 +76,109 @@ def test_estimate_is_scale_invariant(seed, scale):
 def test_row_wise_estimates_match_single_profiles():
     rng = np.random.default_rng(17)
     rows = np.sort(rng.random((8, 12)), axis=1) + 0.05
-    values = lid_of_distances(rows)
+    values = lid_of_distances(rows, [rows.shape[1]])[0]
     singles = [mle_lid(_profile(r)).value for r in rows]
     np.testing.assert_allclose(values, singles, rtol=1e-13)
 
 
 def test_row_wise_estimates_share_the_degeneracy_rules():
     with pytest.raises(ShapeError):
-        lid_of_distances(np.array([1.0, 2.0]))
+        lid_of_distances(np.array([1.0, 2.0]), [2])
+    for k in (0, 3):
+        with pytest.raises(ShapeError):
+            lid_of_distances(np.array([[1.0, 2.0]]), [2, k])
     with pytest.raises(DegenerateProfileError):
-        lid_of_distances(np.array([[0.0, 1.0], [1.0, 2.0]]))
+        lid_of_distances(np.array([[0.0, 1.0], [1.0, 2.0]]), [2])
     with pytest.raises(InfiniteEstimateError):
-        lid_of_distances(np.array([[1.0, 1.0], [1.0, 2.0]]))
+        lid_of_distances(np.array([[1.0, 1.0], [1.0, 2.0]]), [2])
+    with pytest.raises(InfiniteEstimateError):  # k = 1 is a tie with itself
+        lid_of_distances(np.array([[1.0, 2.0]]), [2, 1])
+
+
+def test_distances_tied_after_log_have_no_finite_estimate():
+    # one ulp apart, so the ratio form of mle_lid sees a gap and returns a
+    # huge finite value, but log rounds both to the same number
+    r = 5.0
+    row = np.array([[np.nextafter(r, 0.0), r]])
+    assert np.log(row[0, 0]) == np.log(r)
+    assert -1.0 / np.mean(np.log(row / r)) > 1e15
+    with pytest.raises(InfiniteEstimateError):
+        lid_of_distances(row, [2])
+
+
+def test_equal_distances_whose_mean_log_rounds_low_are_ties():
+    # mean(log 7, x5) comes out one ulp below log 7: without the tie rule
+    # the mean log-ratio is -2.2e-16 and the estimate 4.5e15
+    row = np.full((1, 5), 7.0)
+    logs = np.log(row)
+    assert logs.mean(axis=1)[0] < logs[0, -1]
+    with pytest.raises(InfiniteEstimateError):
+        lid_of_distances(row, [5])
+
+
+@pytest.mark.parametrize("k, moved, toward, above", [
+    (7, -1, np.inf, False),  # last distance one ulp up; mean rounds onto it
+    (3, 0, 0.0, True),  # first one ulp down; mean rounds above the last log
+])
+def test_mean_log_ratio_rounding_to_or_above_zero_has_no_finite_estimate(
+        k, moved, toward, above):
+    # one distance one ulp off the rest, its log distinct, yet the prefix
+    # mean log-ratio m rounds to 0 or above (then -1/m would be negative):
+    # the first r on a grid for which that happens
+    for r in np.linspace(1.1, 50.0, 3000):
+        row = np.full((1, k), r)
+        row[0, moved] = np.nextafter(r, toward)
+        logs = np.log(row)
+        m = logs.mean(axis=1)[0] - logs[0, -1]
+        if logs[0, 0] < logs[0, -1] and (m > 0.0 if above else m == 0.0):
+            break
+    else:
+        pytest.fail("no grid value rounds the mean log-ratio as wanted")
+    with pytest.raises(InfiniteEstimateError):
+        lid_of_distances(row, [k])
+
+
+def _oracle_rtol(profile: np.ndarray) -> float:
+    """Relative gap allowed between lid_of_distances and mle_lid on one
+    ascending profile of k distances, from first-order rounding bounds.
+
+    With u the unit roundoff, M = max |log r_i| and m the mean log-ratio:
+    each log is within one ulp, 2u|log r_i|; a sum of k terms in any order
+    is off by at most (k - 1) u times the sum of their magnitudes.  The
+    prefix form (mean of log r_i, less log r_k) is then off by at most
+    (k + 4) u M + u |m|.  The ratio form (mean of log(r_i / r_k)) rounds
+    each ratio, u, and each log of it, 4 u M, and sums terms of one sign,
+    so it is off by at most u + 4 u M + k u |m|.  Their gap e bounds the
+    relative gap of -1/m by e / (|m| - e), and each division adds u.
+    """
+    u = np.finfo(float).eps / 2
+    k = profile.size
+    big = np.abs(np.log(profile)).max()
+    m = abs(np.mean(np.log(profile / profile[-1])))
+    e = (k + 8) * u * big + u + (k + 1) * u * m
+    return e / (m - e) + 2 * u
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
+       width=st.integers(2, 60),
+       drawn=st.lists(st.integers(2, 60), min_size=1, max_size=5),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_one_log_pass_serves_every_k(seed, n, width, drawn, scale):
+    rng = np.random.default_rng(seed)
+    ks = [min(k, width) for k in drawn + drawn[::-1]]  # repeats, unsorted
+    steps = rng.random((n, width - 1)) * (rng.random((n, width - 1)) < 0.7)
+    steps[:, 0] += 0.05  # ties after the first gap only
+    first = rng.uniform(0.05, 2.0, size=(n, 1))
+    d = scale * np.hstack([first, first + np.cumsum(steps, axis=1)])
+    values = lid_of_distances(d, ks)
+    assert values.shape == (len(ks), n)
+    for v, k in enumerate(ks):
+        alone = lid_of_distances(d[:, :k], [k])[0]
+        assert values[v].tobytes() == alone.tobytes()
+        for j in range(n):
+            oracle = mle_lid(_profile(d[j, :k])).value
+            assert abs(values[v, j] - oracle) <= _oracle_rtol(d[j, :k]) * oracle
 
 
 # --------------------------------------------------------------------------
