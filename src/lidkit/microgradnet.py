@@ -152,18 +152,20 @@ def _dropout_masks(net: Network, seed: int) -> dict:
 
 
 def _forward_rows(net: Network, x: np.ndarray, masks=None, weights=None,
-                  biases=None) -> list:
+                  biases=None, stop=None) -> list:
     """Run one row ``x`` of shape (in_dim,) or a batch (n, in_dim) through the net.
 
-    Returns all depth levels, each with ``x``'s leading shape.  ``masks`` of
-    None means deterministic dropout scaling.  ``weights`` and ``biases``
-    replace the net's own parameter lists, as a training step's do.
+    Returns all depth levels, each with ``x``'s leading shape; with ``stop``
+    only the levels of ``net.layers[:stop]``, so ``stop=-1`` ends at the
+    logits.  ``masks`` of None means deterministic dropout scaling.
+    ``weights`` and ``biases`` replace the net's own parameter lists, as a
+    training step's do.
     """
     weights = net.weights if weights is None else weights
     biases = net.biases if biases is None else biases
     acts = [x]
     a = x
-    for i, spec in enumerate(net.layers):
+    for i, spec in enumerate(net.layers[:stop]):
         if spec.kind == "dense":
             a = a.dot(weights[i].T) + biases[i]
         elif spec.kind == "relu":
@@ -371,72 +373,91 @@ def init_network(layer_specs, seed: int) -> Network:
                    rng_seed=seed)
 
 
-def _batch_loss_and_grads(net, weights, biases, xb, yb):
-    """Mean cross-entropy over a batch plus parameter gradients.
-
-    Works on mutable parameter lists so the training loop does not have to
-    rebuild a Network every step.  Dropout uses deterministic scaling.
-    """
-    acts = _forward_rows(net, xb, weights=weights, biases=biases)
-    # shift the logits by their row max; softmax and cross-entropy in one go
-    z = acts[-2] - acts[-2].max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(z).sum(axis=1))
-    n = xb.shape[0]
-    loss = float(np.mean(logsum - z[np.arange(n), yb]))
-    probs = np.exp(z - logsum[:, None])
-    g = probs
-    g[np.arange(n), yb] -= 1.0
-    g /= n
-    grads_w = [None] * len(net.layers)
-    grads_b = [None] * len(net.layers)
-    for i in range(len(net.layers) - 2, -1, -1):
-        spec = net.layers[i]
-        if spec.kind == "dense":
-            grads_w[i] = g.T @ acts[i]
-            grads_b[i] = g.sum(axis=0)
-            g = g @ weights[i]
-        elif spec.kind == "relu":
-            g = g * (acts[i] > 0.0)
-        elif spec.kind == "dropout":
-            g = g * (1.0 - spec.dropout_rate)
-    return loss, grads_w, grads_b
+def _flat_parameters(net: Network):
+    """A copy of the net's dense parameters in one flat buffer, laid out as
+    ``W, b`` of each dense layer in network order, and per-layer weight and
+    bias views into it (None off dense layers)."""
+    flat = np.empty(sum(w.size + b.size for w, b in
+                        zip(net.weights, net.biases) if w is not None))
+    weights, biases = [None] * len(net.layers), [None] * len(net.layers)
+    offset = 0
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if w is not None:
+            weights[i] = flat[offset:offset + w.size].reshape(w.shape)
+            biases[i] = flat[offset + w.size:offset + w.size + b.size]
+            weights[i][...], biases[i][...] = w, b
+            offset += w.size + b.size
+    return flat, weights, biases
 
 
 def train_sgd(features: np.ndarray, labels: np.ndarray, layer_specs,
               config: SgdConfig) -> Network:
     """Train a freshly initialized network with plain minibatch SGD.
 
-    Examples are shuffled once per epoch with the run's generator.  A
-    non-finite batch loss raises TrainingDivergedError carrying the 0-based
-    epoch index.
+    Examples are shuffled once per epoch with the run's generator, and each
+    step takes the mean cross-entropy of one batch, with deterministic
+    dropout scaling.  A non-finite batch loss raises TrainingDivergedError
+    carrying the 0-based epoch index, before that step's update.
+
+    The weights are bitwise those of the plain per-array step (kept in
+    ``tests/test_microgradnet.py`` as the oracle): the same 2-D products,
+    ``(n, in) @ W.T`` forward and ``G.T @ A`` for each weight gradient, and
+    the same elementwise ``w - lr * g``.  Every number downstream depends on
+    these weights, so training keeps its 2-D products.  The parameters live
+    in one flat buffer that one operation updates; the pass stops at the
+    logits, which the loss folds the softmax into, and the backward pass at
+    the first dense layer's gradients.
     """
     xs = np.asarray(features, dtype=float)
     ys = np.asarray(labels)
-    if xs.ndim != 2 or xs.shape[0] != ys.shape[0]:
+    if xs.ndim != 2 or ys.ndim != 1 or xs.shape[0] != ys.shape[0]:
         raise ShapeError("features and labels do not align")
     if xs.shape[1] != layer_specs[0].in_dim:
         raise ShapeError("feature width does not match the first layer")
+    if xs.shape[0] == 0:
+        raise ValueError("empty training set: no examples to train on")
     n_class = layer_specs[-1].out_dim
     if ys.min() < 0 or ys.max() >= n_class:
         raise ValueError("labels out of range for the output layer")
     net = init_network(layer_specs, config.seed)
-    weights = [None if w is None else w.copy() for w in net.weights]
-    biases = [None if b is None else b.copy() for b in net.biases]
+    flat, weights, biases = _flat_parameters(net)
+    grad, grad_w, grad_b = _flat_parameters(net)  # overwritten every step
+    first = next((i for i, w in enumerate(weights) if w is not None), 0)
+    top = len(net.layers) - 1  # the softmax layer, folded into the loss
     rng = np.random.default_rng(config.seed)
-    n = xs.shape[0]
+    n, batch = xs.shape[0], config.batch_size
     lr = config.learning_rate
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss, gw, gb = _batch_loss_and_grads(net, weights, biases,
-                                                 xs[idx], ys[idx])
-            if not np.isfinite(loss):
+        xe, ye = xs[order], ys[order]
+        for start in range(0, n, batch):
+            yb = ye[start:start + batch]
+            acts = _forward_rows(net, xe[start:start + batch], weights=weights,
+                                 biases=biases, stop=top)
+            # shift the logits by their row max; softmax and cross-entropy
+            # in one go
+            z = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+            logsum = np.log(np.exp(z).sum(axis=1))
+            m = yb.shape[0]
+            rows = np.arange(m)
+            # np.mean's arithmetic: one pairwise sum, then one division
+            if not np.isfinite((logsum - z[rows, yb]).sum() / m):
                 raise TrainingDivergedError(epoch)
-            for i in range(len(net.layers)):
-                if gw[i] is not None:
-                    weights[i] = weights[i] - lr * gw[i]
-                    biases[i] = biases[i] - lr * gb[i]
+            g = np.exp(z - logsum[:, None])
+            g[rows, yb] -= 1.0
+            g /= m
+            for i in range(top - 1, first - 1, -1):
+                spec = net.layers[i]
+                if spec.kind == "dense":
+                    np.matmul(g.T, acts[i], out=grad_w[i])
+                    g.sum(axis=0, out=grad_b[i])
+                    if i > first:
+                        g = g @ weights[i]
+                elif spec.kind == "relu":
+                    g *= acts[i] > 0.0
+                elif spec.kind == "dropout":
+                    g *= 1.0 - spec.dropout_rate
+            flat -= lr * grad
     return Network(layers=net.layers, weights=weights, biases=biases,
                    rng_seed=config.seed)
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from lidkit.errors import NumericOverflowError, ShapeError
+from lidkit.errors import (NumericOverflowError, ShapeError,
+                           TrainingDivergedError)
 from lidkit.harness.config import default_layers, parse_layers
 from lidkit.microgradnet import (CrossEntropy, LayerSpec, Network, SgdConfig,
-                                 activations_batch, backprop_row,
-                                 backprop_to_input, forward_capture,
+                                 _forward_rows, activations_batch,
+                                 backprop_row, backprop_to_input,
+                                 cross_entropy_gradient, forward_capture,
                                  forward_row, from_json_dict,
                                  init_network, input_gradient, load_network,
                                  logit_jacobian, predict, predict_batch,
@@ -280,6 +282,34 @@ def test_gradient_raises_on_overflowing_forward():
             input_gradient(net, [2.0, 2.0], CrossEntropy(0))
 
 
+def _overflow_cases():
+    """(net, x, label) whose forward pass overflows to -inf where a later
+    level hides it: behind a ReLU, and in a non-label logit the softmax
+    sends to a probability of 0.  Every later level is finite."""
+    huge = [[-1e308, -1e308], [0.5, 0.5]]
+    relu_net = Network(
+        layers=(LayerSpec("dense", 2, 2), LayerSpec("relu", 2, 2),
+                LayerSpec("dense", 2, 2), LayerSpec("softmax", 2, 2)),
+        weights=[np.array(huge), None, np.eye(2), None],
+        biases=[np.zeros(2), None, np.zeros(2), None])
+    return [(relu_net, np.array([2.0, 2.0]), 0),
+            (_linear_net(huge, np.zeros(2)), np.array([2.0, 2.0]), 1)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["relu", "softmax"])
+def test_gradient_raises_on_an_overflow_a_later_level_hides(case):
+    net, x, label = _overflow_cases()[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = forward_row(net, x)
+        hidden = 1 if case == 0 else net.depth - 2
+        assert levels[hidden][0] == -np.inf
+        assert all(np.isfinite(a).all() for a in levels[hidden + 1:])
+        with pytest.raises(NumericOverflowError):
+            cross_entropy_gradient(net, levels, label)
+        with pytest.raises(NumericOverflowError):
+            input_gradient(net, x, CrossEntropy(label))
+
+
 def test_logit_jacobian_of_linear_net_is_the_weight_matrix():
     w = np.array([[1.5, -0.5], [0.2, 2.0]])
     net = _linear_net(w, np.array([1.0, -1.0]))
@@ -335,15 +365,137 @@ def test_zero_epochs_returns_the_initialization(blob_data):
             np.testing.assert_array_equal(wt, wi)
 
 
+def _batch_loss_and_grads(net, weights, biases, xb, yb):
+    """Mean cross-entropy over a batch plus parameter gradients: the plain
+    per-array training step that ``train_sgd`` must match bit for bit."""
+    acts = _forward_rows(net, xb, weights=weights, biases=biases)
+    z = acts[-2] - acts[-2].max(axis=1, keepdims=True)
+    logsum = np.log(np.exp(z).sum(axis=1))
+    n = xb.shape[0]
+    loss = float(np.mean(logsum - z[np.arange(n), yb]))
+    probs = np.exp(z - logsum[:, None])
+    g = probs
+    g[np.arange(n), yb] -= 1.0
+    g /= n
+    grads_w = [None] * len(net.layers)
+    grads_b = [None] * len(net.layers)
+    for i in range(len(net.layers) - 2, -1, -1):
+        spec = net.layers[i]
+        if spec.kind == "dense":
+            grads_w[i] = g.T @ acts[i]
+            grads_b[i] = g.sum(axis=0)
+            g = g @ weights[i]
+        elif spec.kind == "relu":
+            g = g * (acts[i] > 0.0)
+        elif spec.kind == "dropout":
+            g = g * (1.0 - spec.dropout_rate)
+    return loss, grads_w, grads_b
+
+
+def _oracle_sgd(features, labels, specs, config):
+    """``train_sgd`` as one gathered batch and one update per weight and
+    bias array per step."""
+    xs, ys = np.asarray(features, dtype=float), np.asarray(labels)
+    net = init_network(specs, config.seed)
+    weights = [None if w is None else w.copy() for w in net.weights]
+    biases = [None if b is None else b.copy() for b in net.biases]
+    rng = np.random.default_rng(config.seed)
+    for epoch in range(config.epochs):
+        order = rng.permutation(xs.shape[0])
+        for start in range(0, xs.shape[0], config.batch_size):
+            idx = order[start:start + config.batch_size]
+            loss, gw, gb = _batch_loss_and_grads(net, weights, biases,
+                                                 xs[idx], ys[idx])
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch)
+            for i in range(len(net.layers)):
+                if gw[i] is not None:
+                    weights[i] = weights[i] - config.learning_rate * gw[i]
+                    biases[i] = biases[i] - config.learning_rate * gb[i]
+    return weights, biases
+
+
+ORACLE_NETS = [
+    # (layers, n_classes, n, batch, epochs, lr, seed)
+    ("default", 2, 96, 32, 3, 0.3, 1),       # dropout, batches divide n
+    ("default", 3, 100, 32, 3, 0.3, 2),      # last batch holds 4 rows
+    ("dense:8,relu,dense:{c},softmax", 2, 50, 16, 4, 0.2, 4),
+    ("dense:8,relu,dense:6,relu,dense:{c},softmax", 3, 37, 8, 2, 0.1, 5),
+    ("default", 3, 40, 32, 0, 0.3, 6),       # epochs=0: the initialization
+]
+
+
+@pytest.mark.parametrize("layers,n_classes,n,batch,epochs,lr,seed",
+                         ORACLE_NETS)
+def test_training_is_bitwise_the_per_array_step(layers, n_classes, n, batch,
+                                                epochs, lr, seed):
+    text = (default_layers(n_classes) if layers == "default"
+            else layers.format(c=n_classes))
+    specs = parse_layers(text, 5)
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(n, 5))
+    ys = np.arange(n) % n_classes
+    cfg = SgdConfig(epochs=epochs, learning_rate=lr, batch_size=batch,
+                    seed=seed)
+    net = train_sgd(xs, ys, specs, cfg)
+    want_w, want_b = _oracle_sgd(xs, ys, specs, cfg)
+    for got, want in zip(net.weights + net.biases, want_w + want_b,
+                         strict=True):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_training_reports_the_epoch_it_diverged_in():
+    # one batch per epoch: epoch 0's loss is huge but finite, and its step
+    # of lr 10 overflows epoch 1's logits
+    specs = parse_layers("dense:4,relu,dense:2,softmax", 2)
+    xs = np.full((16, 2), 1e200)
+    ys = np.arange(16) % 2
+    cfg = SgdConfig(epochs=3, learning_rate=10.0, batch_size=16, seed=0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingDivergedError) as err:
+            train_sgd(xs, ys, specs, cfg)
+        with pytest.raises(TrainingDivergedError) as want:
+            _oracle_sgd(xs, ys, specs, cfg)
+    assert err.value.epoch == want.value.epoch == 1
+
+
+def test_a_minus_inf_logit_outside_the_label_does_not_stop_training():
+    # the loss folds the softmax in, so a -inf logit in another class costs
+    # nothing; only a non-finite loss means divergence
+    specs = (LayerSpec("dense", 4, 2), LayerSpec("softmax", 2, 2))
+    cfg = SgdConfig(epochs=2, learning_rate=0.1, batch_size=4, seed=0)
+    init = init_network(specs, cfg.seed)
+    w = init.weights[0]
+    across = w[0] - (w[0] @ w[1]) / (w[1] @ w[1]) * w[1]  # orthogonal to w[1]
+    xs = np.tile(-1.5e308 * across / np.abs(across).max(), (8, 1))
+    ys = np.ones(8, dtype=int)
+    with np.errstate(over="ignore"):
+        logits = activations_batch(init, xs)[1]
+        assert np.all(logits[:, 0] == -np.inf)
+        assert np.isfinite(logits[:, 1]).all()
+        net = train_sgd(xs, ys, specs, cfg)
+        want_w, want_b = _oracle_sgd(xs, ys, specs, cfg)
+    assert net.weights[0].tobytes() == want_w[0].tobytes() == w.tobytes()
+    assert net.biases[0].tobytes() == want_b[0].tobytes()
+
+
 def test_training_input_validation(blob_data):
     specs = parse_layers("dense:4,relu,dense:2,softmax", 2)
     cfg = SgdConfig(epochs=1, learning_rate=0.1, batch_size=8, seed=0)
     with pytest.raises(ShapeError):
         train_sgd(blob_data.features[:10], blob_data.labels[:9], specs, cfg)
+    with pytest.raises(ShapeError):  # (n, 1) labels broadcast in the loss
+        train_sgd(blob_data.features[:10], blob_data.labels[:10, None],
+                  specs, cfg)
     with pytest.raises(ShapeError):
         train_sgd(np.ones((10, 3)), np.zeros(10, dtype=int), specs, cfg)
     with pytest.raises(ValueError):
         train_sgd(blob_data.features[:10], np.full(10, 7), specs, cfg)
+    with pytest.raises(ValueError, match="empty training set"):
+        train_sgd(np.zeros((0, 2)), np.zeros(0, dtype=int), specs, cfg)
     with pytest.raises(ValueError):
         SgdConfig(epochs=1, learning_rate=0.0, batch_size=8, seed=0)
 
