@@ -16,6 +16,7 @@ The library is organized bottom-up:
   detectors, AUC evaluation, transfer and tuning utilities.
 - ``harness``: dataset generators, flat-file configs, experiment recipes,
   and report serialization.
+- ``blas``: holds numpy's BLAS at one thread while the pipeline runs.
 
 The package itself exports the names of the README's library tour and the
 error classes; everything else is imported from its own module.

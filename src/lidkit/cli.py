@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from . import attacks, detector, microgradnet
+from .blas import single_thread
 from .errors import LidkitError, ParseError, ShapeError
 from .harness import config as config_mod
 from .harness import recipes
@@ -231,6 +232,7 @@ _COMMANDS = {
 }
 
 
+@single_thread()
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)

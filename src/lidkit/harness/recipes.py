@@ -19,6 +19,7 @@ import numpy as np
 from .. import detector as det
 from .. import microgradnet
 from ..attacks import ATTACK_KINDS, run_attacks
+from ..blas import single_thread
 from ..characteristics import BuConfig, KdConfig, minmax_normalize
 from ..detector import FeatureMatrix
 from ..errors import (ConvergenceWarning, DegenerateProfileError,
@@ -91,6 +92,7 @@ def train_network(cfg: ExperimentConfig, data: Dataset):
                   batch_size=cfg.net_batch, seed=cfg.seed))
 
 
+@single_thread()
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     cfg.validate()
     notes = []
@@ -521,6 +523,7 @@ _RECIPES = {
 }
 
 
+@single_thread()
 def run_recipe(name: str, cfg: ExperimentConfig, *,
                write: bool = True) -> ExperimentReport:
     """Run one named recipe and (by default) write its report to cfg.out_dir."""

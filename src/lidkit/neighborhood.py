@@ -15,8 +15,10 @@ from .errors import DegenerateProfileError, ShapeError
 
 MINIBATCH_SOURCES = ("normal", "adversarial", "noisy")
 
-# squared_distances blocks: rows * m * d <= BLOCK_FLOATS (one BLAS thread)
-BLOCK_FLOATS = 1 << 19
+# squared_distances blocks: rows * m <= BLOCK_FLOATS, so a block's distances
+# and the temporaries made from them stay small; fastest of the sizes timed
+# over the benchmark workloads' shapes (ROADMAP "Measured")
+BLOCK_FLOATS = 1 << 16
 GRAM_TOL = 1e-6  # squared_distances' recompute threshold, relative
 
 
@@ -117,13 +119,18 @@ def squared_distances(queries, refs) -> np.ndarray:
     entries not above ``GRAM_TOL * (|q|^2 + |r|^2)``, NaN where the norms
     overflow included, are summed again as ``distances_to`` sums them: the
     zeros are its zeros, and other entries are within (2d + 4) u /
-    ``GRAM_TOL`` relative.  Bits depend on the blocks.
+    ``GRAM_TOL`` relative.  Bits do not depend on the BLAS thread count
+    (measured at widths 2-64).  They may depend on the block a row falls
+    in: a row alone in its block takes BLAS's matrix-vector path, and
+    against 100 references blocks of a dozen rows or fewer gave other bits
+    than one block of every row, while against 1,000 references every
+    block of two or more rows gave the same bits.
     """
     q = np.asarray(queries, dtype=float)
     r = np.asarray(refs, dtype=float)
     if q.ndim != 2 or r.ndim != 2 or q.shape[1] != r.shape[1]:
         raise ShapeError(f"queries {q.shape} do not match references {r.shape}")
-    step = max(1, BLOCK_FLOATS // max(1, r.size))
+    step = max(1, BLOCK_FLOATS // max(1, r.shape[0]))
     r_norms, r_neg2 = (r * r).sum(axis=1), -2.0 * r.T  # exact: a power of 2
     out = np.empty((q.shape[0], r.shape[0]))
     for start in range(0, q.shape[0], step):

@@ -204,7 +204,7 @@ def test_kernel_rows_match_knn_profile(seed, style, exclude_self, blocks):
                                            int(rng.integers(0, 4)))]])
     k = int(rng.integers(1, len(refs) + 1))
     # BLOCK_FLOATS sized so blocks hold one query, three, or every query
-    per_query = refs.size
+    per_query = len(refs)
     block = {"one": 1, "few": 3 * per_query + 1, "all": 10**9}[blocks]
     try:
         want = _oracle_rows(queries, refs, k, exclude_self)
@@ -223,10 +223,10 @@ def test_kernel_rows_match_knn_profile(seed, style, exclude_self, blocks):
         [distances_to(q, batch) for q in queries]), width)
 
 
-def test_kernel_block_holds_one_query_for_wide_references():
+def test_kernel_block_holds_one_query_for_many_references():
     rng = np.random.default_rng(4)
-    width = 1100
-    refs = rng.random((neighborhood.BLOCK_FLOATS // width + 1, width))
+    width = 3
+    refs = rng.random((neighborhood.BLOCK_FLOATS // 2 + 1, width))
     queries = rng.random((3, width))
     got = nearest_distances(squared_distances(queries, refs), 5)
     _assert_kernel_contract(got, _oracle_rows(queries, refs, 5, False), width)
